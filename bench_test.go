@@ -634,9 +634,10 @@ func BenchmarkMachineSweep(b *testing.B) {
 		})
 		// StoreWarm measures a warm restart: each timed iteration is one
 		// fresh process in miniature — open the on-disk store (directory
-		// scan included), run the whole sweep with cold in-memory caches
-		// serving every artifact from disk, close.  The figure is what a
-		// restart pays when a previous run's artifacts survive on disk.
+		// listing included), run the whole sweep with cold in-memory
+		// caches and each point's selection served from disk, close.  The
+		// figure is what a restart pays when a previous run's selections
+		// survive on disk.
 		b.Run("StoreWarm/"+tc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			pointStore := func(p int) core.Options {

@@ -30,9 +30,10 @@
 // cache.  Each point prints a summary line; add -stats for the
 // per-stage wall-clock breakdown.
 //
-// -store DIR persists priced artifacts to a crash-safe on-disk store
-// so later runs start warm: identical inputs are served from disk
-// (still re-certified under -verify) instead of recomputed.  A
+// -store DIR persists each solved layout selection — the 0-1 solve,
+// the one artifact that costs more to compute than to read back — to a
+// crash-safe on-disk store, so a later run on identical inputs skips
+// the solve (the stored answer is still re-certified under -verify).  A
 // corrupted or unavailable store is never fatal — damaged records are
 // quarantined under DIR/quarantine/ and the run degrades to
 // memory-only caching, reported as "! degraded:" lines.
@@ -76,6 +77,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func main() {
@@ -93,7 +95,7 @@ func main() {
 	strict := flag.Bool("strict", false, "fail instead of degrading when a 0-1 solve is cut off")
 	workers := flag.Int("j", 0, "worker goroutines for the evaluation pipeline (0 = all CPUs, 1 = sequential; output is identical either way)")
 	noCache := flag.Bool("no-cache", false, "disable pricing/remapping memoization")
-	storeDir := flag.String("store", "", "persist priced artifacts to this directory (crash-safe L3 store; later runs start warm)")
+	storeDir := flag.String("store", "", "persist solved layout selections to this directory (crash-safe L3 store; later runs skip the 0-1 solve)")
 	stats := flag.Bool("stats", false, "report the run's counters (stage times, cache hit rates, solver effort) as one machine-readable JSON line — the same struct layoutd's /metrics serves")
 	doVerify := flag.Bool("verify", false, "independently certify every solver product; a failed certificate exits non-zero with a claimed-vs-recomputed diff")
 	jsonOut := flag.Bool("json", false, "emit the result as a core.Response JSON document (the layoutd wire format) instead of HPF text")
@@ -166,8 +168,18 @@ func main() {
 	// Sub-millisecond budgets truncate to 0 on the wire; preserve the
 	// exact flag value locally.
 	opt.Timeout = *timeout
-	// The store is the invocation's resource, not the request's.
-	opt.StoreDir = *storeDir
+	// The store is the invocation's resource, not the request's: opened
+	// once here and shared by every sweep point and watch edit.  A
+	// directory that will not open is left to core, which degrades to
+	// memory-only caching and says so with the result.
+	if *storeDir != "" {
+		if st, err := store.Open(store.Options{Dir: *storeDir}); err == nil {
+			opt.Store = st
+			defer st.Close()
+		} else {
+			opt.StoreDir = *storeDir
+		}
+	}
 
 	if *sweep != "" {
 		if err := runSweep(src, opt, *sweep, *stats); err != nil {

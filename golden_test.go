@@ -20,8 +20,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fortran"
 	"repro/internal/programs"
+	"repro/internal/stage"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden/")
@@ -113,24 +115,48 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 			// A store-warmed restart — a later process reopening the same
 			// on-disk artifact store with cold in-memory caches — must be
-			// byte-identical too, and must actually serve from disk.
+			// byte-identical too, from exactly one record per (program,
+			// options): the selection.  The armed-but-empty fault plans
+			// only count visits to the solver's sites.
 			storeDir := t.TempDir()
-			for _, workers := range []int{1, 8} {
-				opt := core.Options{Procs: 8, Workers: workers, Verify: core.VerifyOn, StoreDir: storeDir}
-				if _, err := core.Analyze(context.Background(), core.Input{Source: tc.src}, opt); err != nil {
-					t.Fatalf("store fill workers=%d: %v", workers, err)
-				}
-				restarted, err := core.Analyze(context.Background(), core.Input{Source: tc.src}, opt)
+			storeRun := func(workers int) (*core.Result, map[string]int) {
+				plan := fault.NewPlan(1)
+				res, err := core.Analyze(context.Background(), core.Input{Source: tc.src},
+					core.Options{Procs: 8, Workers: workers, Verify: core.VerifyOn, StoreDir: storeDir, Fault: plan})
 				if err != nil {
-					t.Fatalf("store-warmed run workers=%d: %v", workers, err)
+					t.Fatalf("store run workers=%d: %v", workers, err)
 				}
-				if restarted.Cache.Store.Hits == 0 {
-					t.Fatalf("store-warmed run (workers=%d) never hit the store: %+v", workers, restarted.Cache.Store)
+				return res, plan.Hits()
+			}
+			filled, coldHits := storeRun(1)
+			if s := filled.Cache.Store; s.Hits != 0 || s.Misses != 1 || s.Writes != 1 {
+				t.Fatalf("store fill traffic = %+v, want one miss and one write", s)
+			}
+			// The selection's share of the cold run's solver visits: one
+			// root and its nodes when the graph went to the 0-1 ILP, none
+			// when the tree DP answered.
+			selRoots, selNodes := 1, filled.Selection.BBNodes
+			if filled.Selection.Solver == "tree-dp" {
+				selRoots, selNodes = 0, 0
+			}
+			for _, workers := range []int{1, 8} {
+				restarted, hits := storeRun(workers)
+				if s := restarted.Cache.Store; s.Hits != 1 || s.Misses != 0 || s.Writes != 0 || s.Entries != 1 {
+					t.Fatalf("store-warmed run (workers=%d) traffic = %+v, want exactly one hit", workers, s)
+				}
+				if got, want := hits[stage.ILPRoot], coldHits[stage.ILPRoot]-selRoots; got != want {
+					t.Fatalf("store-warmed run (workers=%d) made %d 0-1 solves, want %d (the alignment's; selection skipped)", workers, got, want)
+				}
+				if got, want := hits[stage.BBNode], coldHits[stage.BBNode]-selNodes; got != want {
+					t.Fatalf("store-warmed run (workers=%d) expanded %d B&B nodes, want %d (the alignment's)", workers, got, want)
 				}
 				if got := goldenRender(restarted); got != renders[0] {
 					t.Fatalf("store-warmed run (workers=%d) differs from cold Analyze:\n--- store-warm ---\n%s\n--- cold ---\n%s",
 						workers, got, renders[0])
 				}
+			}
+			if recs, err := filepath.Glob(filepath.Join(storeDir, "*.art")); err != nil || len(recs) != 1 {
+				t.Fatalf("store directory holds %d records (err %v), want 1", len(recs), err)
 			}
 			path := filepath.Join("testdata", "golden", tc.name+".golden")
 			if *updateGolden {

@@ -84,9 +84,7 @@ type sharedLayer struct {
 	selHits, selMisses     atomic.Int64
 }
 
-// priceEntryKey builds the full shared-cache key for one pricing.  The
-// same key addresses the entry in the SharedCache (L2) and the on-disk
-// store (L3): both are content-addressed by construction.
+// priceEntryKey builds the full shared-cache key for one pricing.
 func (k sharedKeys) priceEntryKey(pk priceKey) string {
 	return k.price + "\x1f" + pk.sig + "\x1f" + pk.layout
 }
@@ -186,19 +184,11 @@ func (r *Result) price(pr *PhaseResult, l *layout.Layout) (*compmodel.Plan, exec
 		v.est.Time = r.opt.Fault.Corrupt(stage.Cache, v.est.Time)
 		return v.plan, v.est
 	}
-	// Per-run miss: consult the shared cross-run layer, then the
-	// on-disk store, before paying for a model evaluation.
+	// Per-run miss: consult the shared cross-run layer before paying for
+	// a model evaluation.  The on-disk store is not consulted: a pricing
+	// costs less to recompute than a record costs to read.
 	if v, ok := r.sharedPriceGet(k); ok {
 		r.prices.put(k, v)
-		return v.plan, v.est
-	}
-	if v, ok := r.storePriceGet(k); ok {
-		r.prices.put(k, v)
-		if sl := r.shared; sl != nil {
-			// Promote the disk hit to L2 so the rest of the process hits
-			// in memory.
-			sl.cache.put(sl.keys.priceEntryKey(k), v)
-		}
 		return v.plan, v.est
 	}
 	plan := compmodel.Analyze(r.Unit, pr.Info, l, r.opt.Compiler)
@@ -207,37 +197,8 @@ func (r *Result) price(pr *PhaseResult, l *layout.Layout) (*compmodel.Plan, exec
 	if sl := r.shared; sl != nil {
 		sl.cache.put(sl.keys.priceEntryKey(k), priced{plan: plan, est: est})
 	}
-	if st := r.store; st != nil {
-		// Write-through: the store dedupes resident keys itself.
-		st.put(st.keys.priceEntryKey(k), encodePriced(priced{plan: plan, est: est}))
-	}
 	est.Time = r.opt.Fault.Corrupt(stage.Cache, est.Time)
 	return plan, est
-}
-
-// storePriceGet looks a pricing up in the on-disk store (L3).  A disk
-// hit's estimate passes through the store-read Corrupt hook — the
-// poison-proof rule extends to disk: a corrupted value a disk hit
-// serves must be caught by the Result certificate, exactly like a
-// poisoned shared-cache entry.  A payload that fails the value codec is
-// quarantined and treated as a miss.
-func (r *Result) storePriceGet(k priceKey) (priced, bool) {
-	st := r.store
-	if st == nil {
-		return priced{}, false
-	}
-	key := st.keys.priceEntryKey(k)
-	payload, ok := st.get(key)
-	if !ok {
-		return priced{}, false
-	}
-	v, err := decodePriced(payload)
-	if err != nil {
-		st.badDecode(key)
-		return priced{}, false
-	}
-	v.est.Time = r.opt.Fault.Corrupt(stage.StoreRead, v.est.Time)
-	return v, true
 }
 
 // sharedPriceGet looks a pricing up in the process-wide shared cache.
@@ -325,15 +286,6 @@ func (r *Result) remapCost(from, to *layout.Layout, fromKey, toKey string, names
 		r.remaps.mu.Unlock()
 		return sv
 	}
-	if sv, sok := r.storeRemapGet(k); sok {
-		r.remaps.mu.Lock()
-		r.remaps.m[k] = sv
-		r.remaps.mu.Unlock()
-		if sl := r.shared; sl != nil {
-			sl.cache.put(sl.keys.remapEntryKey(k), sv)
-		}
-		return sv
-	}
 	v = remap.Cost(from, to, r.Unit.Arrays, names, r.Machine)
 	r.remaps.mu.Lock()
 	r.remaps.m[k] = v
@@ -341,30 +293,7 @@ func (r *Result) remapCost(from, to *layout.Layout, fromKey, toKey string, names
 	if sl := r.shared; sl != nil {
 		sl.cache.put(sl.keys.remapEntryKey(k), v)
 	}
-	if st := r.store; st != nil {
-		st.put(st.keys.remapEntryKey(k), encodeRemap(v))
-	}
 	return v
-}
-
-// storeRemapGet looks a transition cost up in the on-disk store; same
-// semantics as storePriceGet.
-func (r *Result) storeRemapGet(k remapKey) (float64, bool) {
-	st := r.store
-	if st == nil {
-		return 0, false
-	}
-	key := st.keys.remapEntryKey(k)
-	payload, ok := st.get(key)
-	if !ok {
-		return 0, false
-	}
-	v, err := decodeRemap(payload)
-	if err != nil {
-		st.badDecode(key)
-		return 0, false
-	}
-	return r.opt.Fault.Corrupt(stage.StoreRead, v), true
 }
 
 // sharedRemapGet looks a transition cost up in the process-wide shared

@@ -17,10 +17,20 @@ import (
 // result"), a real worker pool, a solver budget that bounds every 0-1
 // solve, a fresh shared cache so the cache-shared site is on the
 // visited path (a cold cache still performs lookups), and a fresh
-// on-disk store so the store-open/store-write sites are too.
+// on-disk store.
 func chaosOptions(tb testing.TB, p *fault.Plan) Options {
 	return Options{Procs: 8, Workers: 4, Timeout: time.Second, Verify: VerifyOn, Fault: p,
 		Cache: NewSharedCache(0), StoreDir: tb.TempDir()}
+}
+
+// storeChaosOptions is chaosOptions without the solver budget.  The
+// store holds selections only, and selection reuse is for untimed runs
+// (a budget can change the outcome), so a budgeted run opens the store
+// and then never reads or writes it.
+func storeChaosOptions(tb testing.TB, p *fault.Plan) Options {
+	opt := chaosOptions(tb, p)
+	opt.Timeout = 0
+	return opt
 }
 
 // storeSites are the IO-shaped fault sites of the artifact store.
@@ -56,10 +66,10 @@ func typedChaosError(err error) bool {
 // and in a cold run those are worker races that may land entirely off
 // the chosen path.  TestChaosSharedCachePoison warms the cache first,
 // where every lookup hits, and asserts detection there.
-// store-read IS corruptible: the sweep warms the store first, so every
-// pricing lookup is a disk hit and the injected corruption lands on
-// served values the certificates must reject — the poison-proof rule
-// extended to disk.
+// store-read IS corruptible: the sweep warms the store first, so the
+// selection lookup is a disk hit and the injected corruption lands on
+// the served selection, which its certificate must reject — the
+// poison-proof rule extended to disk.
 var corruptibleSites = map[string]bool{
 	stage.AlignSolve: true,
 	stage.Pricing:    true,
@@ -75,15 +85,17 @@ var corruptibleSites = map[string]bool{
 // code paths rather than dead hooks.
 func TestChaosSiteCoverage(t *testing.T) {
 	plan := fault.NewPlan(1)
-	opt := chaosOptions(t, plan)
-	// Cold run: visits store-open and store-write (a cold store has
-	// nothing to read, so its Gets are index misses that never touch
+	opt := storeChaosOptions(t, plan)
+	// Cold run: visits every compute site plus store-open and
+	// store-write — the solved selection is written through (a cold store
+	// has nothing to read, so its Get is an index miss that never touches
 	// the disk).
 	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, opt); err != nil {
 		t.Fatal(err)
 	}
 	// Warm re-run over the same store directory with a fresh shared
-	// cache (so L2 misses fall through to disk): visits store-read.
+	// cache (so the selection's L2 miss falls through to disk): visits
+	// store-read.
 	opt.Cache = NewSharedCache(0)
 	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, opt); err != nil {
 		t.Fatal(err)
@@ -111,12 +123,16 @@ func TestChaosSweep(t *testing.T) {
 		for _, action := range fault.Actions {
 			t.Run(site+"/"+action.String(), func(t *testing.T) {
 				plan := fault.NewPlan(7).Arm(site, fault.Rule{Action: action, Delay: delay})
-				opt := chaosOptions(t, plan)
+				options := chaosOptions
+				if storeSites[site] {
+					options = storeChaosOptions
+				}
+				opt := options(t, plan)
 				if site == stage.StoreRead {
 					// store-read fires per disk read attempt, and a cold
 					// store has nothing to read: warm the directory with an
 					// un-faulted run first, then aim the armed run's L2
-					// misses at the resident records.
+					// miss at the resident selection record.
 					warm := opt
 					warm.Fault = nil
 					if _, werr := Analyze(context.Background(), Input{Source: adiSmall}, warm); werr != nil {
@@ -286,26 +302,29 @@ func TestChaosSharedCachePoison(t *testing.T) {
 
 	// The disk variant of the poison-proof rule: warm the on-disk store,
 	// then read it back through a fresh shared cache with the store-read
-	// Corrupt action armed — every pricing is a disk hit, the injected
-	// corruption lands on served values, and the certificates must
-	// reject the result rather than let the poisoned estimates through.
+	// Corrupt action armed — the selection is a disk hit, the injected
+	// corruption lands on its cost, and the selection certificate must
+	// reject it rather than let the poisoned answer through.
 	t.Run("disk-corrupt", func(t *testing.T) {
 		dir := t.TempDir()
-		warm := chaosOptions(t, fault.NewPlan(1))
+		warm := storeChaosOptions(t, fault.NewPlan(1))
 		warm.StoreDir = dir
 		if _, err := Analyze(context.Background(), Input{Source: adiSmall}, warm); err != nil {
 			t.Fatal(err)
 		}
 		plan := fault.NewPlan(13).Arm(stage.StoreRead, fault.Rule{Action: fault.Corrupt})
-		opt := chaosOptions(t, plan)
+		opt := storeChaosOptions(t, plan)
 		opt.StoreDir = dir
 		_, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
 		if plan.Fired(stage.StoreRead) == 0 {
-			t.Fatal("warm store served no disk hits; the poison never landed")
+			t.Fatal("warm store served no disk hit; the poison never landed")
 		}
 		var ce *CertificationError
 		if !errors.As(err, &ce) {
 			t.Fatalf("poisoned disk value not certified away: err = %v (%T)", err, err)
+		}
+		if ce.Stage != stage.Selection {
+			t.Fatalf("certification error names stage %q, want %q", ce.Stage, stage.Selection)
 		}
 	})
 }

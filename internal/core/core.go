@@ -156,9 +156,10 @@ type Options struct {
 	// behaviour; NoCache disables the shared layer too.
 	Cache *SharedCache
 	// StoreDir names a directory for the on-disk artifact store (L3):
-	// pricing, remapping and selection artifacts persist across
-	// processes under the same content-hash keys the shared cache uses,
-	// so a restarted run warm-starts from disk.  "" disables the store;
+	// solved selections persist across processes under the same
+	// content-hash key the shared cache uses, so a restarted run skips
+	// the 0-1 solve (pricings and remap costs are cheaper to recompute
+	// than to read, and are not persisted).  "" disables the store;
 	// NoCache disables it too.  A store that cannot be opened, or whose
 	// IO keeps failing, degrades the run to memory-only caching with an
 	// entry in Result.Degradations — never an analysis failure.

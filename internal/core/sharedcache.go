@@ -209,7 +209,7 @@ type sharedKeys struct {
 // on the other phases' bodies.  Keying by declsKey therefore keeps
 // every unchanged phase's pricing and remap entries valid across a
 // one-phase source edit, which is what Session.Update's incremental
-// reuse of L1/L2/L3 entries relies on.
+// reuse of L1/L2 entries relies on.
 func deriveSharedKeys(declsKey artifact.Key, opt Options) sharedKeys {
 	machineKey := artifact.MachineKey(opt.Machine)
 	price := artifact.NewHasher("price-ctx").

@@ -297,13 +297,16 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.
 			res.shared = &sharedLayer{cache: opt.Cache, keys: keys}
 		}
 		if useStore {
-			res.store = newStoreLayer(opt, keys)
+			res.store = newStoreLayer(opt)
 		}
 		// Selection reuse needs a fully content-determined solve: a
 		// wall-clock budget or a caller-tuned solver can change the
-		// outcome (degradation, node limits), and an armed fault plan
-		// must reach the solver's injection sites.
-		if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
+		// outcome (degradation, node limits), and a fault plan aimed at
+		// the solve must reach its injection sites.  Plans aimed elsewhere
+		// (the store and cache sites among them) keep the reuse path, so
+		// chaos runs still travel through L2 and L3.
+		if opt.Timeout == 0 && opt.Solver == nil &&
+			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode, stage.LPFactorize) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
 				Str(keys.price).
@@ -562,19 +565,21 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		}
 	}
 	if useSelCache && sel == nil && r.store != nil {
-		// L3: a selection solved by an earlier process.  Like every disk
-		// hit it is re-verified (CheckSelection below runs against the
-		// freshly built graph), so a tampered record is caught, not
+		// L3: a selection solved by an earlier process.  It is re-verified
+		// like any other (CheckSelection below runs against the freshly
+		// built graph), so a tampered record — or the store-read Corrupt
+		// fault, which poisons the cost a disk hit serves — is caught, not
 		// served; a payload failing the codec is quarantined and solved
 		// fresh.
 		if payload, ok := r.store.get(r.selCtx); ok {
 			if saved, derr := decodeSelection(payload); derr == nil {
-				sel = &saved
 				if r.shared != nil {
 					cp := saved
 					cp.Choice = append([]int(nil), saved.Choice...)
 					r.shared.cache.put(r.selCtx, cp)
 				}
+				saved.Cost = r.opt.Fault.Corrupt(stage.StoreRead, saved.Cost)
+				sel = &saved
 			} else {
 				r.store.badDecode(r.selCtx)
 			}

@@ -11,10 +11,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/fault"
 	"repro/internal/stage"
 	"repro/internal/store"
@@ -38,25 +41,24 @@ func renderKey(res *Result) string {
 
 // TestStoreWarmRestart: a second Analyze over the same store directory
 // — a fresh process in miniature (new per-run caches, no shared cache)
-// — reproduces the cold run exactly and actually reads the disk.
+// — reproduces the cold run exactly from the one record the cold run
+// wrote: the selection.  Pricings and transition costs never travel
+// through the store.
 func TestStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	cold, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := cold.Cache.Store.Writes; w == 0 {
-		t.Fatal("cold run wrote nothing to the store")
-	}
-	if cold.Cache.Store.Hits != 0 {
-		t.Fatalf("cold run reports %d store hits", cold.Cache.Store.Hits)
+	if s := cold.Cache.Store; s.Hits != 0 || s.Misses != 1 || s.Writes != 1 || s.Entries != 1 {
+		t.Fatalf("cold run store traffic = %+v, want one miss and one write (the selection)", s)
 	}
 	warm, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cache.Store.Hits == 0 {
-		t.Fatal("warm run never hit the store")
+	if s := warm.Cache.Store; s.Hits != 1 || s.Misses != 0 || s.Writes != 0 || s.Entries != 1 {
+		t.Fatalf("warm run store traffic = %+v, want exactly one hit", s)
 	}
 	if renderKey(cold) != renderKey(warm) {
 		t.Fatal("store-warmed run differs from the cold run")
@@ -70,10 +72,10 @@ func TestStoreWarmRestart(t *testing.T) {
 }
 
 // TestStoreCrashConsistency: injected mid-write crashes during a run
-// leave torn temp files and a degraded (memory-only) but correct
-// result; the next open quarantines every piece of debris and a clean
-// re-run over the same directory fully recovers, matching a run that
-// never had a store.
+// leave torn temp files and a degraded but correct result, and repeated
+// failures trip the memory-only breaker; the next open quarantines every
+// piece of debris and a clean re-run over the same directory fully
+// recovers, matching a run that never had a store.
 func TestStoreCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	plan := fault.NewPlan(11).Arm(stage.StoreWrite, fault.Rule{Action: fault.Fail})
@@ -95,8 +97,18 @@ func TestStoreCrashConsistency(t *testing.T) {
 	if !degraded {
 		t.Fatalf("no store-write degradation recorded: %+v", res.Degradations)
 	}
+	if s := res.Cache.Store; s.Writes != 0 || s.MemoryOnly {
+		t.Fatalf("after one failed write: %+v, want no write counted and the breaker untripped", s)
+	}
+	// A run writes one record, so one run is one failure; each Reselect
+	// re-solves and re-attempts the write until the breaker trips.
+	for i := 1; i < storeFailureLimit; i++ {
+		if err := res.Reselect(); err != nil {
+			t.Fatalf("reselect %d over a crashing store: %v", i, err)
+		}
+	}
 	if !res.Cache.Store.MemoryOnly {
-		t.Fatalf("breaker did not trip: %+v", res.Cache.Store)
+		t.Fatalf("breaker did not trip after %d failed writes: %+v", storeFailureLimit, res.Cache.Store)
 	}
 	// The crash debris is on disk: torn temp files, no final records.
 	des, err := os.ReadDir(dir)
@@ -108,6 +120,9 @@ func TestStoreCrashConsistency(t *testing.T) {
 		if strings.Contains(de.Name(), ".tmp-") {
 			torn++
 		}
+		if strings.HasSuffix(de.Name(), ".art") {
+			t.Fatalf("a crashed write left a final record: %s", de.Name())
+		}
 	}
 	if torn == 0 {
 		t.Fatal("mid-write crashes left no torn temp files")
@@ -117,17 +132,17 @@ func TestStoreCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().Quarantined; got < int64(torn) {
-		t.Fatalf("reopen quarantined %d files, want at least %d", got, torn)
+	if got := st.Stats().Quarantined; got != int64(torn) || st.Len() != 0 {
+		t.Fatalf("reopen quarantined %d files and kept %d, want %d and 0", got, st.Len(), torn)
 	}
 	// Full recovery: a clean run over the same directory succeeds,
-	// writes real records, and matches a store-less run byte for byte.
+	// writes its record, and matches a store-less run byte for byte.
 	clean, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Cache.Store.Writes == 0 {
-		t.Fatal("recovered store accepted no writes")
+	if clean.Cache.Store.Writes != 1 {
+		t.Fatalf("recovered store wrote %d records, want 1", clean.Cache.Store.Writes)
 	}
 	if len(clean.Degradations) != 0 {
 		t.Fatalf("clean run over recovered store degraded: %+v", clean.Degradations)
@@ -144,57 +159,45 @@ func TestStoreCrashConsistency(t *testing.T) {
 
 // TestStoreCorruptionNeverUncertified pins the acceptance criterion: a
 // corrupted or truncated store file can never produce an uncertified
-// result.  Every record in a warmed store is damaged — half truncated,
-// half bit-flipped — and the re-run must still return a verified,
+// result.  The record of a warmed store is damaged — torn to a length
+// Open still indexes, torn below a record's minimum size, or
+// bit-flipped — and the re-run must still return a verified,
 // certificate-passing result, quarantining what it touched.
 func TestStoreCorruptionNeverUncertified(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
-	if err != nil {
-		t.Fatal(err)
+	damage := map[string]func(b []byte) []byte{
+		"torn":      func(b []byte) []byte { return b[:len(b)-7] },
+		"undersize": func(b []byte) []byte { return b[:20] },
+		"flipped":   func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	damaged := 0
-	for i, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".art") {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		b, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if i%2 == 0 {
-			b = b[:len(b)/2] // torn
-		} else {
-			b[len(b)/2] ^= 0xff // bit flip
-		}
-		if werr := os.WriteFile(path, b, 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		damaged++
-	}
-	if damaged == 0 {
-		t.Fatal("warm store holds no records to damage")
-	}
-	res, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
-	if err != nil {
-		t.Fatalf("damaged store failed the analysis: %v", err)
-	}
-	if cerr := res.Certify(); cerr != nil {
-		t.Fatalf("damaged store produced an uncertified result: %v", cerr)
-	}
-	if renderKey(res) != renderKey(cold) || res.TotalCost != cold.TotalCost {
-		t.Fatal("damaged-store run differs from the cold run")
-	}
-	if res.Cache.Store.Quarantined == 0 {
-		t.Fatalf("no damaged record was quarantined: %+v", res.Cache.Store)
-	}
-	if res.Cache.Store.Hits != 0 {
-		t.Fatalf("a damaged record was served as a hit: %+v", res.Cache.Store)
+	for name, mangle := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, store.FileName(cold.selCtx))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("warm store holds no selection record: %v", err)
+			}
+			if err := os.WriteFile(path, mangle(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir))
+			if err != nil {
+				t.Fatalf("damaged store failed the analysis: %v", err)
+			}
+			if cerr := res.Certify(); cerr != nil {
+				t.Fatalf("damaged store produced an uncertified result: %v", cerr)
+			}
+			if renderKey(res) != renderKey(cold) || res.TotalCost != cold.TotalCost {
+				t.Fatal("damaged-store run differs from the cold run")
+			}
+			if s := res.Cache.Store; s.Quarantined != 1 || s.Hits != 0 || s.Writes != 1 {
+				t.Fatalf("store traffic = %+v, want the damaged record quarantined, never served, and rewritten", s)
+			}
+		})
 	}
 }
 
@@ -231,6 +234,38 @@ func TestStorePoisonedSelection(t *testing.T) {
 	var ce *CertificationError
 	if !errors.As(err, &ce) {
 		t.Fatalf("poisoned selection not certified away: err = %v (%T)", err, err)
+	}
+}
+
+// TestStoreReuseYieldsToSolverFaults: a fault plan aimed at the solve
+// must reach it even when the store already holds the answer — reuse is
+// skipped, the store untouched — while a plan aimed at the store itself
+// keeps travelling the reuse path.
+func TestStoreReuseYieldsToSolverFaults(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir)); err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{stage.Selection, stage.ILPRoot, stage.BBNode, stage.LPFactorize} {
+		opt := storeOptions(dir)
+		opt.Fault = fault.NewPlan(3).Arm(site, fault.Rule{Action: fault.Delay, Delay: time.Microsecond})
+		res, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", site, err)
+		}
+		if s := res.Cache.Store; s.Hits+s.Misses+s.Writes != 0 {
+			t.Fatalf("plan armed at %s still used the store: %+v", site, s)
+		}
+	}
+	opt := storeOptions(dir)
+	opt.Fault = fault.NewPlan(3).Arm(stage.StoreRead, fault.Rule{Action: fault.Delay, Delay: time.Microsecond})
+	res, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.Store.Hits != 1 || opt.Fault.Fired(stage.StoreRead) != 1 {
+		t.Fatalf("plan armed at store-read: store %+v, fired %d; want one hit through the armed site",
+			res.Cache.Store, opt.Fault.Fired(stage.StoreRead))
 	}
 }
 
@@ -325,14 +360,16 @@ func TestStoreCountersUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 	stats := st.Stats()
-	if stats.Entries == 0 || stats.Writes == 0 {
-		t.Fatalf("store stats = %+v", stats)
+	if stats.Entries != 1 || stats.Writes != 1 {
+		t.Fatalf("store stats = %+v, want the one selection record", stats)
 	}
 	var first *Result
+	var writes int64
 	for _, res := range results {
 		if res == nil {
 			t.Fatal("missing result")
 		}
+		writes += res.Cache.Store.Writes
 		if first == nil {
 			first = res
 			continue
@@ -341,54 +378,38 @@ func TestStoreCountersUnderRace(t *testing.T) {
 			t.Fatalf("concurrent runs disagree: %v vs %v", res.TotalCost, first.TotalCost)
 		}
 	}
+	// Runs that raced to the same miss all offer the record; only the
+	// one whose write landed may count it.
+	if writes != stats.Writes {
+		t.Fatalf("runs count %d writes, the store wrote %d", writes, stats.Writes)
+	}
 }
 
-// TestStoreCodecRoundTrip: the three persisted value kinds survive
-// encode/decode bit-exact, and cross-kind payloads are rejected with a
-// typed error (never misread).
+// TestStoreCodecRoundTrip: the persisted selection survives
+// encode/decode bit-exact, and payloads of another kind or version are
+// rejected with a typed error (never misread).
 func TestStoreCodecRoundTrip(t *testing.T) {
 	res, err := Analyze(context.Background(), Input{Source: adiSmall},
 		Options{Procs: 8, Workers: 1, Verify: VerifyOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := res.Phases[0]
-	cand := pr.Candidates[pr.Chosen]
-	v := priced{plan: cand.Plan, est: cand.Estimate}
-	got, derr := decodePriced(encodePriced(v))
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	if got.est != v.est || got.plan.Procs != v.plan.Procs ||
-		len(got.plan.Events) != len(v.plan.Events) ||
-		len(got.plan.CrossDeps) != len(v.plan.CrossDeps) ||
-		len(got.plan.Comp) != len(v.plan.Comp) {
-		t.Fatalf("priced round trip: got %+v", got)
-	}
-	for i := range v.plan.Events {
-		if got.plan.Events[i] != v.plan.Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got.plan.Events[i], v.plan.Events[i])
-		}
-	}
-	c, derr := decodeRemap(encodeRemap(3.25))
-	if derr != nil || c != 3.25 {
-		t.Fatalf("remap round trip: %v, %v", c, derr)
-	}
 	sel, derr := decodeSelection(encodeSelection(*res.Selection))
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	if sel.Cost != res.Selection.Cost || len(sel.Choice) != len(res.Selection.Choice) {
-		t.Fatalf("selection round trip: %+v", sel)
+	if !reflect.DeepEqual(sel, *res.Selection) {
+		t.Fatalf("selection round trip: got %+v, want %+v", sel, *res.Selection)
 	}
-	// Cross-kind payloads carry the wrong kind tag: typed rejection.
-	if _, derr := decodePriced(encodeRemap(1)); derr == nil {
-		t.Fatal("remap payload accepted as a pricing")
-	}
-	if _, derr := decodeSelection(encodePriced(v)); derr == nil {
-		t.Fatal("pricing payload accepted as a selection")
-	}
-	if _, derr := decodeRemap(nil); derr == nil {
-		t.Fatal("empty payload accepted")
+	var foreign, skewed artifact.Encoder
+	foreign.Int(storeCodecVersion).Str("priced").Float(1)
+	skewed.Int(storeCodecVersion + 1).Str(storeKindSel)
+	for name, payload := range map[string][]byte{
+		"foreign kind": foreign.Out(), "version skew": skewed.Out(), "empty": nil,
+		"truncated": encodeSelection(*res.Selection)[:10],
+	} {
+		if _, derr := decodeSelection(payload); derr == nil {
+			t.Fatalf("%s payload accepted as a selection", name)
+		}
 	}
 }

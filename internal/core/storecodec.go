@@ -1,222 +1,48 @@
 package core
 
-// Binary codecs for the values the on-disk artifact store (L3)
-// persists: candidate pricings, transition costs and selections.  The
-// encodings use package artifact's Encoder/Decoder, are versioned and
-// kind-tagged, and are deterministic — map contents are serialized in
-// sorted order — so a store-warmed run reproduces a cold run
-// byte-identically.  Decoding arbitrary bytes yields a typed error,
-// never a panic: a record that passed the store's checksum but fails
-// here is semantically corrupt (e.g. written by a different version)
-// and the caller quarantines it.
+// Binary codec for the one value the on-disk artifact store (L3)
+// persists: the solved selection.  The encoding uses package artifact's
+// Encoder/Decoder, is versioned and kind-tagged, and is deterministic,
+// so a store-warmed run reproduces a cold run byte-identically.
+// Decoding arbitrary bytes yields a typed error, never a panic: a
+// record that passed the store's checksum but fails here is
+// semantically corrupt (e.g. written by a different version) and the
+// caller quarantines it.
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/compmodel"
-	"repro/internal/dep"
-	"repro/internal/execmodel"
 	"repro/internal/layoutgraph"
-	"repro/internal/machine"
 )
 
-// Codec version and kind tags.  The version is the first field of every
-// payload; bumping it invalidates (quarantines) old records rather than
+// Codec version and kind tag, the first two fields of every payload.
+// Bumping the version invalidates (quarantines) old records rather than
 // misreading them.
 const (
 	// v2: selection records carry the solver route and the
 	// presolve/sparse-LP counters.
 	storeCodecVersion = 2
-	storeKindPriced   = "priced"
-	storeKindRemap    = "remap"
 	storeKindSel      = "selection"
 )
 
-func storeHeader(e *artifact.Encoder, kind string) {
-	e.Int(storeCodecVersion).Str(kind)
-}
-
 // storeCheckHeader validates the version and kind fields.
-func storeCheckHeader(d *artifact.Decoder, kind string) error {
+func storeCheckHeader(d *artifact.Decoder) error {
 	if v := d.Int(); d.Err() == nil && v != storeCodecVersion {
 		return fmt.Errorf("core: store record version %d, want %d", v, storeCodecVersion)
 	}
-	if k := d.Str(); d.Err() == nil && k != kind {
-		return fmt.Errorf("core: store record kind %q, want %q", k, kind)
+	if k := d.Str(); d.Err() == nil && k != storeKindSel {
+		return fmt.Errorf("core: store record kind %q, want %q", k, storeKindSel)
 	}
 	return d.Err()
-}
-
-// encodePriced serializes one candidate pricing (plan + estimate).
-func encodePriced(v priced) []byte {
-	var e artifact.Encoder
-	storeHeader(&e, storeKindPriced)
-	p := v.plan
-	e.Int(len(p.Events))
-	for _, ev := range p.Events {
-		e.Str(ev.Array).Int(int(ev.Pattern)).Float(ev.Count).Int(ev.Bytes).
-			Int(int(ev.Stride)).Int(ev.Level).Int(ev.Planes).Int(ev.Dir).Str(ev.Reason)
-	}
-	e.Int(len(p.CrossDeps))
-	for _, cd := range p.CrossDeps {
-		encodeDependence(&e, cd.Dep)
-		e.Int(cd.Level).Float(cd.OuterTrips).Int(cd.StageBytes).
-			Float(cd.InnerTrips).Float(cd.CarrierTrip)
-	}
-	e.Int(len(p.Comp))
-	for _, cu := range p.Comp {
-		o := cu.Ops
-		e.Int(o.AddSub).Int(o.Mul).Int(o.Div).Int(o.Sqrt).
-			Int(o.Intrinsic).Int(o.Pow).Int(o.Loads).Int(o.Stores)
-		e.Float(cu.ItersPerProc).Bool(cu.Partitioned).Bool(cu.Reduction)
-	}
-	e.Bool(p.Partitioned).Int(p.Procs)
-	est := v.est
-	e.Int(int(est.Schedule)).Float(est.Time).Float(est.Comp).Float(est.Comm).Float(est.Stages)
-	return e.Out()
-}
-
-// decodePriced parses a pricing payload; any malformed input returns a
-// typed error (artifact.DecodeError or a header mismatch).
-func decodePriced(b []byte) (priced, error) {
-	d := artifact.NewDecoder(b)
-	if err := storeCheckHeader(d, storeKindPriced); err != nil {
-		return priced{}, err
-	}
-	p := &compmodel.Plan{}
-	if n := d.Len(); n > 0 {
-		p.Events = make([]compmodel.Event, n)
-		for i := range p.Events {
-			ev := &p.Events[i]
-			ev.Array = d.Str()
-			ev.Pattern = machine.Pattern(d.Int())
-			ev.Count = d.Float()
-			ev.Bytes = d.Int()
-			ev.Stride = machine.Stride(d.Int())
-			ev.Level = d.Int()
-			ev.Planes = d.Int()
-			ev.Dir = d.Int()
-			ev.Reason = d.Str()
-		}
-	}
-	if n := d.Len(); n > 0 {
-		p.CrossDeps = make([]compmodel.CrossDep, n)
-		for i := range p.CrossDeps {
-			cd := &p.CrossDeps[i]
-			cd.Dep = decodeDependence(d)
-			cd.Level = d.Int()
-			cd.OuterTrips = d.Float()
-			cd.StageBytes = d.Int()
-			cd.InnerTrips = d.Float()
-			cd.CarrierTrip = d.Float()
-		}
-	}
-	if n := d.Len(); n > 0 {
-		p.Comp = make([]compmodel.CompUnit, n)
-		for i := range p.Comp {
-			cu := &p.Comp[i]
-			cu.Ops = dep.OpCount{
-				AddSub: d.Int(), Mul: d.Int(), Div: d.Int(), Sqrt: d.Int(),
-				Intrinsic: d.Int(), Pow: d.Int(), Loads: d.Int(), Stores: d.Int(),
-			}
-			cu.ItersPerProc = d.Float()
-			cu.Partitioned = d.Bool()
-			cu.Reduction = d.Bool()
-		}
-	}
-	p.Partitioned = d.Bool()
-	p.Procs = d.Int()
-	var est execmodel.Estimate
-	est.Schedule = execmodel.Schedule(d.Int())
-	est.Time = d.Float()
-	est.Comp = d.Float()
-	est.Comm = d.Float()
-	est.Stages = d.Float()
-	if err := d.Close(); err != nil {
-		return priced{}, err
-	}
-	return priced{plan: p, est: est}, nil
-}
-
-// encodeDependence serializes a dep.Dependence with its Distances map
-// in sorted key order, keeping the encoding deterministic.
-func encodeDependence(e *artifact.Encoder, dp dep.Dependence) {
-	e.Str(dp.Array)
-	vars := make([]string, 0, len(dp.Distances))
-	for v := range dp.Distances {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	e.Int(len(vars))
-	for _, v := range vars {
-		e.Str(v).Int(dp.Distances[v])
-	}
-	e.Int(len(dp.Unknown))
-	for _, u := range dp.Unknown {
-		e.Str(u)
-	}
-	e.Str(dp.CarrierVar).Int(dp.CarrierLevel)
-	e.Int(len(dp.ArrayDims))
-	for _, dim := range dp.ArrayDims {
-		e.Int(dim)
-	}
-}
-
-func decodeDependence(d *artifact.Decoder) dep.Dependence {
-	var dp dep.Dependence
-	dp.Array = d.Str()
-	if n := d.Len(); n > 0 {
-		dp.Distances = make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			v := d.Str()
-			dp.Distances[v] = d.Int()
-		}
-	}
-	if n := d.Len(); n > 0 {
-		dp.Unknown = make([]string, n)
-		for i := range dp.Unknown {
-			dp.Unknown[i] = d.Str()
-		}
-	}
-	dp.CarrierVar = d.Str()
-	dp.CarrierLevel = d.Int()
-	if n := d.Len(); n > 0 {
-		dp.ArrayDims = make([]int, n)
-		for i := range dp.ArrayDims {
-			dp.ArrayDims[i] = d.Int()
-		}
-	}
-	return dp
-}
-
-// encodeRemap serializes one transition cost.
-func encodeRemap(v float64) []byte {
-	var e artifact.Encoder
-	storeHeader(&e, storeKindRemap)
-	e.Float(v)
-	return e.Out()
-}
-
-func decodeRemap(b []byte) (float64, error) {
-	d := artifact.NewDecoder(b)
-	if err := storeCheckHeader(d, storeKindRemap); err != nil {
-		return 0, err
-	}
-	v := d.Float()
-	if err := d.Close(); err != nil {
-		return 0, err
-	}
-	return v, nil
 }
 
 // encodeSelection serializes a solved selection (non-degraded only —
 // the caller gates, matching the shared cache's rule).
 func encodeSelection(sel layoutgraph.Selection) []byte {
 	var e artifact.Encoder
-	storeHeader(&e, storeKindSel)
+	e.Int(storeCodecVersion).Str(storeKindSel)
 	e.Int(len(sel.Choice))
 	for _, c := range sel.Choice {
 		e.Int(c)
@@ -233,7 +59,7 @@ func encodeSelection(sel layoutgraph.Selection) []byte {
 func decodeSelection(b []byte) (layoutgraph.Selection, error) {
 	d := artifact.NewDecoder(b)
 	var sel layoutgraph.Selection
-	if err := storeCheckHeader(d, storeKindSel); err != nil {
+	if err := storeCheckHeader(d); err != nil {
 		return sel, err
 	}
 	if n := d.Len(); n > 0 {

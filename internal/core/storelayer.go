@@ -2,8 +2,12 @@ package core
 
 // storeLayer is one run's view of the on-disk artifact store (L3): the
 // lookup tier below the per-run caches (L1) and the SharedCache (L2).
-// Its governing rule is degradation over failure — no store problem may
-// fail an analysis:
+// It holds only what costs more to compute than to read back — the
+// layout-selection 0-1 solve, one record per (program, options); a
+// pricing or a transition cost is microseconds of arithmetic, cheaper
+// than the checksummed read that would replace it, and stays in L1/L2.
+// The layer's governing rule is degradation over failure — no store
+// problem may fail an analysis:
 //
 //   - An unopenable store directory yields a layer that is born broken
 //     (memory-only) with a Degradation naming store-open.
@@ -34,8 +38,7 @@ import (
 const storeFailureLimit = 3
 
 type storeLayer struct {
-	st   *store.Store
-	keys sharedKeys
+	st *store.Store
 
 	hits, misses, writes atomic.Int64
 	decodeFails          atomic.Int64
@@ -50,8 +53,8 @@ type storeLayer struct {
 // newStoreLayer opens (or adopts) the run's store.  It never returns an
 // error: an unusable store degrades to a memory-only layer carrying the
 // degradation entry.
-func newStoreLayer(opt Options, keys sharedKeys) *storeLayer {
-	sl := &storeLayer{keys: keys, degSites: map[string]bool{}}
+func newStoreLayer(opt Options) *storeLayer {
+	sl := &storeLayer{degSites: map[string]bool{}}
 	if opt.Store != nil {
 		sl.st = opt.Store
 		return sl
@@ -126,16 +129,21 @@ func (sl *storeLayer) get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// put writes one payload through; a post-retry failure degrades.
+// put writes one payload through, counting it only when a record was
+// actually written (a key another run made resident meanwhile is left
+// alone); a post-retry failure degrades.
 func (sl *storeLayer) put(key string, payload []byte) {
 	if !sl.usable() {
 		return
 	}
-	if err := sl.st.Put(key, payload); err != nil {
+	written, err := sl.st.Add(key, payload)
+	if err != nil {
 		sl.recordFailure(stage.StoreWrite, err)
 		return
 	}
-	sl.writes.Add(1)
+	if written {
+		sl.writes.Add(1)
+	}
 }
 
 // badDecode quarantines a record whose store checksum passed but whose

@@ -124,6 +124,22 @@ func (p *Plan) Arm(site string, r Rule) *Plan {
 	return p
 }
 
+// Arms reports whether the plan holds an armed rule at any of the given
+// sites.  A nil plan arms nothing.
+func (p *Plan) Arms(sites ...string) bool {
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, site := range sites {
+		if p.rules[site].Action != None {
+			return true
+		}
+	}
+	return false
+}
+
 // fire records one hit of a site and reports the armed rule if it
 // fires on this hit.  Each site hook calls it exactly once per logical
 // visit, so After counts visits, not internal checks.

@@ -158,3 +158,20 @@ func TestErrorMessageNamesSite(t *testing.T) {
 		t.Errorf("message = %q", got)
 	}
 }
+
+func TestArms(t *testing.T) {
+	var unarmed *Plan
+	if unarmed.Arms("a") {
+		t.Error("nil plan arms a site")
+	}
+	p := NewPlan(1).Arm("a", Rule{Action: Delay}).Arm("off", Rule{})
+	if !p.Arms("x", "a") {
+		t.Error("armed site not reported")
+	}
+	if p.Arms("x", "off") || p.Arms() {
+		t.Error("unarmed, None-armed or no sites reported as armed")
+	}
+	if p.Hits()["a"] != 0 {
+		t.Error("Arms counted a hit")
+	}
+}

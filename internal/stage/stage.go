@@ -48,15 +48,18 @@ const (
 	// the site fires on every cross-run lookup, and its Corrupt action
 	// poisons the value a shared hit serves.
 	CacheShared = "cache-shared"
-	// StoreOpen is the on-disk artifact store's open/scan/recovery path
-	// (internal/store): directory creation, the record scan, and the
-	// quarantine of torn or checksum-failing files.
+	// StoreOpen is the on-disk artifact store's open path
+	// (internal/store): directory creation, the listing that builds the
+	// index, and the quarantine of temp-file debris, foreign-named files
+	// and files too short to be a record.  No record is read here.
 	StoreOpen = "store-open"
-	// StoreRead is one disk lookup of the artifact store (an L3 get
-	// after the per-run and shared caches both missed).  The site fires
-	// once per read attempt, so After-targeted rules can fail the first
-	// attempt and let the bounded retry recover; its Corrupt action
-	// poisons the decoded value a disk hit serves, same as CacheShared.
+	// StoreRead is one disk lookup of the artifact store: the selection
+	// record, looked up after the shared cache missed.  Checksum and key
+	// are validated on every read, and a failing record is quarantined
+	// and served as a miss.  The site fires once per read attempt, so
+	// After-targeted rules can fail the first attempt and let the bounded
+	// retry recover; its Corrupt action poisons the cost of the selection
+	// a disk hit serves, for the selection certificate to reject.
 	StoreRead = "store-read"
 	// StoreWrite is one write-through put of the artifact store.  The
 	// site fires mid-record — after part of the payload reached the

@@ -14,12 +14,13 @@
 //     the complete old state or the complete new state — never a torn
 //     final file.  Torn temp files are quarantined at the next open.
 //   - Corruption containment.  Every record carries a trailing SHA-256
-//     checksum (see record.go).  Open scans the directory and
-//     quarantines any torn, truncated or checksum-failing file into
-//     quarantine/ instead of serving it; Get re-validates the checksum
-//     on every read, so a bit-flip after open is also caught, counted,
-//     and quarantined — a corrupted record is always a miss, never a
-//     wrong value.
+//     checksum (see record.go), and Get validates checksum and key on
+//     every read: a torn, truncated or bit-flipped record is counted,
+//     moved into quarantine/ and reported as a miss — a corrupted
+//     record is always a miss, never a wrong value.  Open reads no
+//     record: it lists the directory and quarantines only what the
+//     listing itself condemns (temp files, foreign names, files too
+//     short to be a record).
 //   - Degradation over failure.  Transient IO errors are retried with
 //     bounded exponential backoff; errors that persist surface as typed
 //     errors the caller (core) converts into memory-only degradation,
@@ -102,7 +103,8 @@ type Stats struct {
 	Hits, Misses, Writes int64
 	DiskReads            int64
 	// Evictions counts records removed by the size bound; Quarantined
-	// counts files moved to quarantine/ (at open or on a corrupt read).
+	// counts files moved to quarantine/ (debris at open, corrupt records
+	// on read).
 	Evictions   int64
 	Quarantined int64
 	// ReadFailures and WriteFailures count operations that failed after
@@ -182,11 +184,11 @@ func (s *Store) withRetry(site string, op func() error) error {
 	return err
 }
 
-// Open opens (creating if needed) a store directory, scans every
-// record, quarantines torn/truncated/checksum-failing files and
-// leftover temp files, and rebuilds the index from what survives.  The
-// survivors' LRU order is their modification order (oldest first to
-// go).  An unreadable directory returns a typed *OpenError.
+// Open opens (creating if needed) a store directory, quarantines
+// leftover temp files, foreign-named files and files too short to be a
+// record, and indexes the rest from the directory listing without
+// reading them.  Their LRU order is their modification order (oldest
+// first to go).  An unreadable directory returns a typed *OpenError.
 func Open(opt Options) (*Store, error) {
 	s := &Store{
 		dir:      opt.Dir,
@@ -224,54 +226,36 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
-// scan validates every file in the store directory, building the index
-// (called once, from Open, before the store is shared).
+// scan builds the index from the directory listing alone — names, sizes
+// and modification times; no record is read (called once, from Open,
+// before the store is shared).  Whether a record's bytes are sound is
+// decided where it is served: readRecord validates on every Get.
 func (s *Store) scan() error {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
-	type survivor struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var ok []survivor
+	var ok []fs.FileInfo
 	for _, de := range des {
 		if de.IsDir() {
 			continue // quarantine/ and anything else
 		}
-		name := de.Name()
-		path := filepath.Join(s.dir, name)
-		if !isRecordName(name) {
-			// Leftover temp files are torn writes from a crash; anything
-			// else foreign is quarantined too rather than trusted.
-			s.quarantineFile(path)
-			continue
-		}
-		b, rerr := os.ReadFile(path)
-		if rerr != nil {
-			s.quarantineFile(path)
-			continue
-		}
-		key, _, derr := DecodeRecord(b)
-		if derr != nil || FileName(key) != name {
-			s.quarantineFile(path)
-			continue
-		}
 		info, ierr := de.Info()
-		mtime := time.Time{}
-		if ierr == nil {
-			mtime = info.ModTime()
+		// Leftover temp files are torn writes from a crash, and a file too
+		// short to hold a header and checksum cannot be a record; anything
+		// else foreign is quarantined too rather than trusted.
+		if ierr != nil || !isRecordName(de.Name()) || info.Size() < int64(headerLen+checksumLen) {
+			s.quarantineFile(filepath.Join(s.dir, de.Name()))
+			continue
 		}
-		ok = append(ok, survivor{name: name, size: int64(len(b)), mtime: mtime})
+		ok = append(ok, info)
 	}
-	sort.Slice(ok, func(i, j int) bool { return ok[i].mtime.Before(ok[j].mtime) })
-	for _, sv := range ok { // oldest first: ends up at the LRU back
-		e := &entry{name: sv.name, size: sv.size}
+	sort.Slice(ok, func(i, j int) bool { return ok[i].ModTime().Before(ok[j].ModTime()) })
+	for _, info := range ok { // oldest first: ends up at the LRU back
+		e := &entry{name: info.Name(), size: info.Size()}
 		e.el = s.lru.PushFront(e)
-		s.index[sv.name] = e
-		s.bytes += sv.size
+		s.index[e.name] = e
+		s.bytes += e.size
 	}
 	s.gcLocked()
 	return nil
@@ -438,39 +422,48 @@ func (s *Store) Quarantine(key string) {
 	}
 }
 
-// Put stores a payload under a key (write-through from the memory
-// layers).  Records are immutable and content-keyed, so a key that is
-// already resident is left untouched.  The write is atomic: temp file
-// + fsync + rename + directory fsync; a crash mid-write leaves only a
-// torn temp file for the next Open to quarantine.  A Put that fails
-// every retry returns the error; the store remains usable.
-func (s *Store) Put(key string, payload []byte) error {
+// Add stores a payload under a key (write-through from the memory
+// layers) and reports whether a record was written.  Records are
+// immutable and content-keyed, so a key that is already resident is left
+// untouched (false, nil).  The write is atomic: temp file + fsync +
+// rename + directory fsync; a crash mid-write leaves only a torn temp
+// file for the next Open to quarantine.  An Add that fails every retry
+// returns the error; the store remains usable.
+func (s *Store) Add(key string, payload []byte) (written bool, err error) {
 	name := FileName(key)
 	s.mu.Lock()
 	_, resident := s.index[name]
 	s.mu.Unlock()
 	if resident {
-		return nil
+		return false, nil
 	}
 	rec := EncodeRecord(key, payload)
-	err := s.withRetry(stage.StoreWrite, func() error {
+	err = s.withRetry(stage.StoreWrite, func() error {
 		return s.writeRecord(name, key, payload, rec)
 	})
 	if err != nil {
 		s.writeFailures.Add(1)
-		return err
+		return false, err
 	}
 	s.mu.Lock()
-	if _, raced := s.index[name]; !raced {
-		e := &entry{name: name, size: int64(len(rec))}
-		e.el = s.lru.PushFront(e)
-		s.index[name] = e
-		s.bytes += e.size
-		s.writes.Add(1)
-		s.gcLocked()
+	defer s.mu.Unlock()
+	if _, raced := s.index[name]; raced {
+		return false, nil
 	}
-	s.mu.Unlock()
-	return nil
+	e := &entry{name: name, size: int64(len(rec))}
+	e.el = s.lru.PushFront(e)
+	s.index[name] = e
+	s.bytes += e.size
+	s.writes.Add(1)
+	s.gcLocked()
+	return true, nil
+}
+
+// Put is Add for callers that do not need to know whether the key was
+// already resident.
+func (s *Store) Put(key string, payload []byte) error {
+	_, err := s.Add(key, payload)
+	return err
 }
 
 // writeRecord is one atomic-write attempt.  The store-write fault site

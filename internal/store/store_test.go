@@ -75,11 +75,14 @@ func TestStoreGetPut(t *testing.T) {
 	if _, ok, err := s.Get("k1"); ok || err != nil {
 		t.Fatalf("empty store Get = %v, %v", ok, err)
 	}
-	if err := s.Put("k1", []byte("v1")); err != nil {
-		t.Fatal(err)
+	if written, err := s.Add("k1", []byte("v1")); err != nil || !written {
+		t.Fatalf("Add of a new key = %v, %v", written, err)
+	}
+	if written, err := s.Add("k1", []byte("v1")); err != nil || written {
+		t.Fatalf("Add of a resident key = %v, %v; want no rewrite, no error", written, err)
 	}
 	if err := s.Put("k1", []byte("v1")); err != nil {
-		t.Fatal(err) // dedupe: no rewrite, no error
+		t.Fatal(err)
 	}
 	p, ok, err := s.Get("k1")
 	if err != nil || !ok || string(p) != "v1" {
@@ -117,26 +120,21 @@ func TestStorePersistsAcrossOpens(t *testing.T) {
 	}
 }
 
-// TestStoreQuarantineOnOpen: truncated records, bit-flipped records,
-// torn temp files and foreign files are all quarantined at open; the
-// undamaged records survive and stay readable.
+// TestStoreQuarantineOnOpen: what the directory listing alone condemns
+// — torn temp files, foreign names, files too short to hold a header
+// and checksum — is quarantined at open; the records survive and stay
+// readable.
 func TestStoreQuarantineOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	s1 := mustOpen(t, Options{Dir: dir})
-	keys := []string{"good-1", "good-2", "trunc", "flip", "empty"}
-	for _, k := range keys {
+	for _, k := range []string{"good-1", "good-2", "short", "empty"} {
 		if err := s1.Put(k, []byte("payload of "+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Damage three records and plant crash debris.
-	trunc := filepath.Join(dir, FileName("trunc"))
-	b, _ := os.ReadFile(trunc)
-	os.WriteFile(trunc, b[:len(b)-7], 0o644)
-	flip := filepath.Join(dir, FileName("flip"))
-	b, _ = os.ReadFile(flip)
-	b[len(b)/2] ^= 0xff
-	os.WriteFile(flip, b, 0o644)
+	short := filepath.Join(dir, FileName("short"))
+	b, _ := os.ReadFile(short)
+	os.WriteFile(short, b[:headerLen+checksumLen-1], 0o644)
 	os.WriteFile(filepath.Join(dir, FileName("empty")), nil, 0o644)
 	os.WriteFile(filepath.Join(dir, FileName("torn")+tempInfix+"123"), []byte("ALSTOR01 torn half-writ"), 0o644)
 	os.WriteFile(filepath.Join(dir, "foreign.txt"), []byte("not a record"), 0o644)
@@ -145,23 +143,75 @@ func TestStoreQuarantineOnOpen(t *testing.T) {
 	if got := s2.Len(); got != 2 {
 		t.Fatalf("survivors = %d, want 2", got)
 	}
-	if st := s2.Stats(); st.Quarantined != 5 {
-		t.Fatalf("quarantined = %d, want 5 (trunc, flip, empty, torn temp, foreign)", st.Quarantined)
+	if st := s2.Stats(); st.Quarantined != 4 {
+		t.Fatalf("quarantined = %d, want 4 (short, empty, torn temp, foreign)", st.Quarantined)
 	}
 	for _, k := range []string{"good-1", "good-2"} {
 		if _, ok, err := s2.Get(k); !ok || err != nil {
 			t.Fatalf("survivor %s: %v, %v", k, ok, err)
 		}
 	}
-	for _, k := range []string{"trunc", "flip", "empty"} {
-		if _, ok, _ := s2.Get(k); ok {
-			t.Fatalf("damaged record %s served", k)
+	for _, k := range []string{"short", "empty"} {
+		if _, ok, err := s2.Get(k); ok || err != nil {
+			t.Fatalf("undersized record %s: ok=%v err=%v, want a plain miss", k, ok, err)
 		}
 	}
 	// The damaged files are preserved in quarantine/ for forensics.
 	qs, err := os.ReadDir(filepath.Join(dir, QuarantineDir))
-	if err != nil || len(qs) != 5 {
-		t.Fatalf("quarantine dir has %d files (err %v), want 5", len(qs), err)
+	if err != nil || len(qs) != 4 {
+		t.Fatalf("quarantine dir has %d files (err %v), want 4", len(qs), err)
+	}
+}
+
+// TestStoreOpenReadsNoRecord: Open indexes a well-named record from its
+// directory entry without reading it, so a record whose bytes are bad —
+// flipped, torn but still record-sized, or stored under another key's
+// name — survives the open and falls at its first Get: a miss with a
+// typed *CorruptError, quarantined, and a plain miss ever after.
+func TestStoreOpenReadsNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	s1 := mustOpen(t, Options{Dir: dir})
+	keys := []string{"flip", "trunc", "renamed"}
+	for _, k := range append(keys, "donor") {
+		if err := s1.Put(k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := filepath.Join(dir, FileName("flip"))
+	b, _ := os.ReadFile(flip)
+	b[headerLen+len("flip")+3] ^= 0xff // a payload byte
+	os.WriteFile(flip, b, 0o644)
+	trunc := filepath.Join(dir, FileName("trunc"))
+	b, _ = os.ReadFile(trunc)
+	os.WriteFile(trunc, b[:len(b)-7], 0o644)
+	b, _ = os.ReadFile(filepath.Join(dir, FileName("donor")))
+	os.WriteFile(filepath.Join(dir, FileName("renamed")), b, 0o644)
+
+	s2 := mustOpen(t, Options{Dir: dir})
+	if got, q := s2.Len(), s2.Stats().Quarantined; got != 4 || q != 0 {
+		t.Fatalf("open indexed %d records and quarantined %d, want 4 and 0", got, q)
+	}
+	if reads := s2.Stats().DiskReads; reads != 0 {
+		t.Fatalf("open read %d records", reads)
+	}
+	for i, k := range keys {
+		p, ok, err := s2.Get(k)
+		var ce *CorruptError
+		if ok || p != nil || !errors.As(err, &ce) {
+			t.Fatalf("first Get(%s) = %q, %v, %v; want a miss with *CorruptError", k, p, ok, err)
+		}
+		if q := s2.Stats().Quarantined; q != int64(i+1) {
+			t.Fatalf("after Get(%s): quarantined = %d, want %d", k, q, i+1)
+		}
+		if _, ok, err := s2.Get(k); ok || err != nil {
+			t.Fatalf("second Get(%s): ok=%v err=%v, want a plain miss", k, ok, err)
+		}
+	}
+	if p, ok, err := s2.Get("donor"); !ok || err != nil || string(p) != "payload of donor" {
+		t.Fatalf("undamaged record: %q, %v, %v", p, ok, err)
+	}
+	if got := s2.Len(); got != 1 {
+		t.Fatalf("records left = %d, want 1", got)
 	}
 }
 
