@@ -230,12 +230,12 @@ func BenchmarkAblationILPvsGreedyAlignment(b *testing.B) {
 	b.ReportMetric(greedyCost, "s-est-greedy")
 }
 
-// BenchmarkAblationSelectionDPvsILP compares the chain/ring dynamic
-// program against the 0-1 selection on Adi (they must agree on
-// chain-shaped PCFGs; the ILP generalizes).
+// BenchmarkAblationSelectionDPvsILP compares the elimination dynamic
+// program against the 0-1 selection on Adi (they must agree wherever
+// the DP is under its width cap; the ILP generalizes).
 func BenchmarkAblationSelectionDPvsILP(b *testing.B) {
 	src := programs.Adi(256, fortran.Double)
-	ilpCost := benchTotal(b, src, core.Options{Procs: 16})
+	ilpCost := benchTotal(b, src, core.Options{Procs: 16, ForceILP: true})
 	dpCost := benchTotal(b, src, core.Options{Procs: 16, UseDP: true})
 	b.ReportMetric(ilpCost, "s-est-ilp")
 	b.ReportMetric(dpCost, "s-est-dp")
@@ -336,7 +336,7 @@ func identicalSweeps(phases int) string {
 
 // parBenchOptions is the configuration both pipeline benchmarks share:
 // extended distribution spaces (18 candidates per rank-3 phase on 16
-// processors) and the exact chain DP for selection, so candidate
+// processors) and the exact elimination DP for selection, so candidate
 // pricing dominates the run the way it does on real inputs.
 func parBenchOptions() core.Options {
 	return core.Options{Procs: 16, Cyclic: true, MultiDim: true, UseDP: true}
@@ -489,8 +489,8 @@ func BenchmarkAblationPhaseMerging(b *testing.B) {
 
 // BenchmarkSelectionUnderDeadline measures graceful degradation on a
 // selection graph far beyond the paper's sizes: a ring of phases with
-// extra chords (so the chain DP does not apply and the LP relaxation is
-// fractional), solved under a 50 ms wall-clock budget.  The metrics
+// extra chords (so the LP relaxation is fractional), solved by the ILP
+// under a 50 ms wall-clock budget.  The metrics
 // report the incumbent's cost, the proven optimality gap and the node
 // count reached before the deadline.
 func BenchmarkSelectionUnderDeadline(b *testing.B) {

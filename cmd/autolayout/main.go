@@ -88,7 +88,7 @@ func main() {
 	explain := flag.Bool("explain", false, "explain every phase's candidate costs (events, schedules)")
 	cyclic := flag.Bool("cyclic", false, "add CYCLIC distribution candidates (extension)")
 	multiDim := flag.Bool("multidim", false, "add multi-dimensional mesh candidates (extension)")
-	useDP := flag.Bool("dp", false, "use the chain DP instead of 0-1 selection where possible")
+	useDP := flag.Bool("dp", false, "select by the elimination DP alone (no 0-1 fallback over its table cap)")
 	greedy := flag.Bool("greedy-align", false, "use greedy alignment conflict resolution instead of 0-1")
 	guess := flag.Bool("guess-probs", false, "ignore !prob annotations (always guess 50%)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the 0-1 solves; on expiry the tool degrades to the best feasible answer (0 = none)")

@@ -134,7 +134,7 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 			// The selection's share of the cold run's solver visits: one
 			// root and its nodes when the graph went to the 0-1 ILP, none
-			// when the tree DP answered.
+			// when the elimination DP answered.
 			selRoots, selNodes := 1, filled.Selection.BBNodes
 			if filled.Selection.Solver == "tree-dp" {
 				selRoots, selNodes = 0, 0

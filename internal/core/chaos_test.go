@@ -33,6 +33,14 @@ func storeChaosOptions(tb testing.TB, p *fault.Plan) Options {
 	return opt
 }
 
+// ilpSites are the fault sites inside the 0-1 solver.  adiSmall's
+// alignment has no conflict to resolve and its selection is answered by
+// the elimination DP, so only a ForceILP run reaches them.
+var ilpSites = map[string]bool{
+	stage.ILPRoot: true,
+	stage.BBNode:  true,
+}
+
 // storeSites are the IO-shaped fault sites of the artifact store.
 // Their invariant differs from the compute sites': a store fault must
 // never fail an analysis — the run degrades to memory-only caching and
@@ -86,6 +94,7 @@ var corruptibleSites = map[string]bool{
 func TestChaosSiteCoverage(t *testing.T) {
 	plan := fault.NewPlan(1)
 	opt := storeChaosOptions(t, plan)
+	opt.ForceILP = true // the default route never enters the 0-1 solver (ilpSites)
 	// Cold run: visits every compute site plus store-open and
 	// store-write — the solved selection is written through (a cold store
 	// has nothing to read, so its Get is an index miss that never touches
@@ -128,6 +137,7 @@ func TestChaosSweep(t *testing.T) {
 					options = storeChaosOptions
 				}
 				opt := options(t, plan)
+				opt.ForceILP = ilpSites[site]
 				if site == stage.StoreRead {
 					// store-read fires per disk read attempt, and a cold
 					// store has nothing to read: warm the directory with an
@@ -216,7 +226,9 @@ func TestCorruptionCaught(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.site, func(t *testing.T) {
 			plan := fault.NewPlan(13).Arm(tc.site, fault.Rule{Action: fault.Corrupt})
-			_, err := Analyze(context.Background(), Input{Source: adiSmall}, chaosOptions(t, plan))
+			opt := chaosOptions(t, plan)
+			opt.ForceILP = ilpSites[tc.site]
+			_, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
 			var ce *CertificationError
 			if !errors.As(err, &ce) {
 				t.Fatalf("corruption at %s not certified away: err = %v (%T)", tc.site, err, err)

@@ -105,15 +105,16 @@ type Options struct {
 	// spaces (the prototype default is exhaustive 1-D BLOCK).
 	Cyclic   bool
 	MultiDim bool
-	// UseDP selects the chain/ring dynamic program instead of the 0-1
-	// formulation for the final selection (ablation baseline; falls
-	// back to the ILP on general graphs).
+	// UseDP runs the final selection by the variable-elimination DP
+	// alone: the default route without its ILP fallback, so a layout
+	// graph over the DP's table cap is a *layoutgraph.OverCapError
+	// instead of a 0-1 solve (ablation baseline).
 	UseDP bool
-	// ForceILP disables the structure router for the final selection:
-	// the 0-1 formulation runs even on forest-shaped layout graphs the
-	// polynomial tree DP would answer exactly.  Both produce the same
-	// selection; this is the measurement/ablation arm for problem-size
-	// figures and routed-vs-ILP benchmarks.  Not a wire option.
+	// ForceILP runs the 0-1 formulation even on the layout graphs the
+	// elimination DP would answer (every graph under its cap).  Both
+	// minimize the same perturbed objective; this is the arm for the
+	// paper's ILP-size figure, DP-vs-ILP benchmarks and tests that need
+	// a solve with a budget to exhaust.  Not a wire option.
 	ForceILP bool
 	// MergePhases ties adjacent phases together in the selection when
 	// remapping between them can never be profitable (§2.1's phase
@@ -126,8 +127,8 @@ type Options struct {
 	// Timeout bounds the wall-clock time spent in 0-1 solves across the
 	// whole run (alignment and selection share the budget; zero means
 	// none).  When it expires the tool degrades gracefully — feasible
-	// incumbents, the exact chain DP, or greedy heuristics — and records
-	// what happened in Result.Degradations.
+	// incumbents, the exact elimination DP, or greedy heuristics — and
+	// records what happened in Result.Degradations.
 	Timeout time.Duration
 	// Strict disables graceful degradation: any solve that would have
 	// fallen back to a suboptimal answer fails instead with a
@@ -181,7 +182,7 @@ type Options struct {
 	// inc is the incremental-update context Session.Update threads
 	// through the stage functions (nil on every other path): the
 	// previous run's artifacts to reuse from, the replay/reuse
-	// counters, the alignment memo and the carried LP workspace.
+	// counters and the alignment memo.
 	inc *incrementalRun
 }
 

@@ -12,7 +12,7 @@ import (
 // Degradation records one graceful fallback taken while solving: a
 // subsystem's exact 0-1 search was cut off by the wall-clock or node
 // budget and the tool continued with the best answer it had (a feasible
-// incumbent, the exact chain DP, or a greedy heuristic) instead of
+// incumbent, the exact elimination DP, or a greedy heuristic) instead of
 // failing.  The layouts in the Result remain valid; only proven
 // optimality is forfeited.
 type Degradation struct {

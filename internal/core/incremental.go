@@ -25,7 +25,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/cag"
 	"repro/internal/fault"
-	"repro/internal/lp"
 	"repro/internal/stage"
 )
 
@@ -96,7 +95,6 @@ type incrementalRun struct {
 	prev  *frontState
 	fault *fault.Plan
 	memo  *sessionMemo
-	ws    *lp.Workspace
 
 	mu     sync.Mutex
 	stages map[string]StageReuse
@@ -154,16 +152,6 @@ func (inc *incrementalRun) alignMemo() align.Memo {
 		return nil
 	}
 	return inc.memo
-}
-
-// workspace returns the session's carried LP workspace for the
-// selection solve, so a replayed selection warm-starts from the
-// previous edit's simplex basis and buffers (nil on the cold path).
-func (inc *incrementalRun) workspace() *lp.Workspace {
-	if inc == nil {
-		return nil
-	}
-	return inc.ws
 }
 
 // finish derives the back-half counters from the run's cache traffic

@@ -386,8 +386,11 @@ end
 // TestTimeoutDegradesGracefully is the headline acceptance test: an
 // immediately-expired budget still yields a complete, feasible layout,
 // with the forfeited optimality recorded in Result.Degradations.
+// ForceILP, because only a 0-1 solve has a budget to run out of: the
+// default route answers adiSmall by the elimination DP, which ignores
+// it.
 func TestTimeoutDegradesGracefully(t *testing.T) {
-	res, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8, Timeout: time.Nanosecond})
+	res, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8, Timeout: time.Nanosecond, ForceILP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +429,7 @@ func TestTimeoutDegradesGracefully(t *testing.T) {
 // TestStrictModeFailsHard: with Strict set, the same expired budget is
 // a typed error naming the degraded subsystem instead of a fallback.
 func TestStrictModeFailsHard(t *testing.T) {
-	_, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8, Timeout: time.Nanosecond, Strict: true})
+	_, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8, Timeout: time.Nanosecond, Strict: true, ForceILP: true})
 	var serr *StrictError
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %v (%T), want *StrictError", err, err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/lp"
 	"repro/internal/stage"
 )
 
@@ -42,11 +41,9 @@ type Session struct {
 
 	// Edit-carry state (Update only): the alignment-resolution memo,
 	// the session-owned shared cache injected when the caller brings
-	// none, the selection solve's warm-started LP workspace, the
-	// Update counter and the last edit's invalidation DAG.
+	// none, the Update counter and the last edit's invalidation DAG.
 	memo    *sessionMemo
 	carried *SharedCache
-	ws      *lp.Workspace
 	edits   int64
 	lastDAG *invalidationDAG
 }
@@ -249,10 +246,6 @@ func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Res
 		}
 		opt.Cache = s.carried
 	}
-	if s.ws == nil {
-		s.ws = lp.NewWorkspace()
-	}
-	inc.ws = s.ws
 	res, err = backAnalyze(ctx, start, opt, budget, st.unit, st.dep, st.align, tm)
 	if err != nil {
 		return nil, err
@@ -260,8 +253,8 @@ func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Res
 	s.st = st
 	s.edits++
 	inc.finish(res, s.edits)
-	// Detach the update context: the session's LP workspace and
-	// counters must not leak into later Reselect calls on the Result.
+	// Detach the update context: the session's counters must not leak
+	// into later Reselect calls on the Result.
 	res.opt.inc = nil
 	return res, nil
 }

@@ -39,7 +39,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/layout"
 	"repro/internal/layoutgraph"
-	"repro/internal/lp"
 	"repro/internal/par"
 	"repro/internal/pcfg"
 	"repro/internal/remap"
@@ -463,9 +462,9 @@ func (r *Result) summarizeSolver() {
 		s.LPSparse += st.LPSparse
 	}
 	// A routed selection counts as a solve even with zero
-	// branch-and-bound nodes (the tree DP and a fully presolved ILP
-	// both answer without branching); the legacy DP/greedy fallbacks
-	// report an empty route and, as before, no solve.
+	// branch-and-bound nodes (the elimination DP and a fully presolved
+	// ILP both answer without branching); the greedy fallback reports
+	// an empty route and no solve.
 	if sel := r.Selection; sel != nil && (sel.Solver != "" || sel.BBNodes > 0) {
 		s.Solves++
 		s.Nodes += sel.BBNodes
@@ -481,10 +480,11 @@ func (r *Result) summarizeSolver() {
 }
 
 // reselect solves the selection with the given budget, degrading to
-// the exact chain DP or the greedy per-phase heuristic when the ILP is
-// cut off without an incumbent, and rebuilds Result.Degradations.  The
-// per-edge transition cost matrices are independent, so they fan out
-// over the worker pool into index-addressed slots.
+// the exact elimination DP or the greedy per-phase heuristic when the
+// ILP is cut off without an incumbent, and rebuilds
+// Result.Degradations.  The per-edge transition cost matrices are
+// independent, so they fan out over the worker pool into
+// index-addressed slots.
 func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 	defer timed(r.StageTimes, stage.Selection)()
 	lg := &layoutgraph.Graph{NodeCost: make([][]float64, len(r.Phases))}
@@ -586,43 +586,29 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		}
 	}
 	if sel == nil {
-		// One workspace for the selection solve(s): the DP fallback path
-		// may try the ILP right after the DP refuses, and Reselect calls
-		// land here repeatedly — the workspace keeps the simplex buffers
-		// (and, within a solve, the warm-start basis) alive across them.
-		// On the incremental path the session's carried workspace is
-		// used instead, so an edit's re-solve warm-starts from the
-		// previous edit's basis (Update serializes, so no two solves
-		// share it concurrently).
-		ws := r.opt.inc.workspace()
-		if ws == nil {
-			ws = lp.NewWorkspace()
-		}
+		// The elimination DP answers every graph under its table cap
+		// without building a 0-1 model; SolveAutoWS leaves only graphs
+		// over the cap to the ILP.  Both minimize the same perturbed
+		// objective, so the route does not change the cost.
 		var err error
 		switch {
 		case r.opt.UseDP:
-			sel, err = lg.SolveDP()
-			if err != nil {
-				sel, err = lg.SolveAutoWS(solver, ws)
-			}
+			sel, err = lg.SolveElim(solver)
 		case r.opt.ForceILP:
-			sel, err = lg.SolveILPWS(solver, ws)
+			sel, err = lg.SolveILP(solver)
 		default:
-			// Structure-routed: forest-shaped graphs take the exact
-			// polynomial tree DP, everything else the 0-1 ILP (whose node
-			// LPs route dense/sparse by size).  Both minimize the same
-			// perturbed objective, so the route never changes the choice.
-			sel, err = lg.SolveAutoWS(solver, ws)
+			sel, err = lg.SolveAutoWS(solver, nil)
 		}
 		var noInc *layoutgraph.NoIncumbentError
 		if errors.As(err, &noInc) {
 			// The ILP was cut off before finding any feasible choice.
-			// Degrade: the chain/ring DP is exact when the graph has that
-			// shape; otherwise the greedy per-phase argmin always answers.
-			if dp, dperr := lg.SolveDP(); dperr == nil {
+			// Degrade: the DP is exact (it ignores the budget) whenever
+			// the graph is under its cap; otherwise the greedy per-phase
+			// argmin always answers.
+			if dp, dperr := lg.SolveElim(solver); dperr == nil {
 				sel, err = dp, nil
 				sel.Degraded = true
-				sel.DegradeReason = fmt.Sprintf("%v; exact chain DP fallback", noInc)
+				sel.DegradeReason = fmt.Sprintf("%v; exact elimination DP fallback", noInc)
 				sel.Gap = 0
 			} else {
 				sel, err = lg.SolveGreedy(), nil
@@ -630,7 +616,7 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 			}
 		}
 		if err != nil {
-			return err
+			return pipelineErr(stage.Selection, err)
 		}
 		if useSelCache && !sel.Degraded {
 			cp := *sel

@@ -121,7 +121,8 @@ type Request struct {
 	// Cyclic and MultiDim enable the extended distribution spaces.
 	Cyclic   bool `json:"cyclic,omitempty"`
 	MultiDim bool `json:"multidim,omitempty"`
-	// UseDP selects the chain/ring DP over the 0-1 selection.
+	// UseDP runs the selection by the elimination DP alone: over its
+	// table cap the request fails instead of falling back to the ILP.
 	UseDP bool `json:"use_dp,omitempty"`
 	// MergePhases ties adjacent phases when remapping between them can
 	// never be profitable.

@@ -257,8 +257,8 @@ func ILPSizes() ([]ILPSizeRow, error) {
 	for _, c := range headline {
 		spec, _ := programs.ByName(c.Program)
 		// ForceILP: the table reports the 0-1 formulation's size, so the
-		// structure router (which answers forest-shaped selections with
-		// the tree DP and never builds the ILP) is bypassed.
+		// default route (the elimination DP, which never builds the ILP)
+		// is bypassed.
 		res, err := core.Analyze(context.Background(), core.Input{Source: spec.Source(c.N, c.Type)}, core.Options{Procs: c.Procs, ForceILP: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Program, err)

@@ -8,9 +8,13 @@
 // between candidates of control-flow-adjacent phases, weighted by
 // remapping cost times the edge's traversal frequency.  The optimal
 // selection problem is NP-complete [Kre93]; following [BKK94b] it is
-// translated to a 0-1 integer program and solved exactly.  A dynamic
-// program provides an exact baseline for chain- and ring-shaped PCFGs,
-// and exhaustive enumeration a test oracle.
+// translated to a 0-1 integer program and solved exactly (SolveILP).
+// The graphs real programs produce have small treewidth, though, so the
+// route core takes is SolveAutoWS: one exact variable-elimination
+// dynamic program (SolveElim) minimizing the ILP's own perturbed
+// objective, with the ILP kept for graphs over the DP's table-size cap.
+// SolveGreedy is the budget-exhausted last resort and SolveExhaustive
+// the test oracle.
 package layoutgraph
 
 import (
@@ -63,11 +67,11 @@ type Selection struct {
 	RCFixed                    int
 	Duration                   time.Duration
 	// Solver names the route that produced the selection: "tree-dp"
-	// (exact dynamic program on a forest-shaped graph), "presolved"
+	// (the exact tree-decomposition DP, SolveElim), "presolved"
 	// (constraint propagation fixed every binary before branch and
 	// bound), "sparse" (ILP with node LPs on the sparse revised
 	// simplex), "dense" (ILP on the dense tableau simplex), or "" for
-	// the explicit baselines (SolveDP, SolveGreedy, SolveExhaustive).
+	// the explicit baselines (SolveGreedy, SolveExhaustive).
 	Solver string
 	// Presolved counts binaries fixed by the ILP's constraint
 	// propagation; LPSparse counts node LPs served by the sparse
@@ -88,7 +92,7 @@ type Selection struct {
 
 // NoIncumbentError is returned by SolveILP when the search was cut off
 // (node limit, time limit or cancellation) before any feasible
-// incumbent was found; callers can fall back to SolveDP or SolveGreedy.
+// incumbent was found; callers can fall back to SolveElim or SolveGreedy.
 type NoIncumbentError struct {
 	Status ilp.Status
 }
@@ -280,142 +284,64 @@ func (g *Graph) SolveILPWS(solver *ilp.Solver, ws *lp.Workspace) (*Selection, er
 	return sel, nil
 }
 
-// chainShape classifies the edge structure: forward edges p→p+1 only,
-// plus optionally one closing edge last→0 (a ring, from a PCFG loop).
-func (g *Graph) chainShape() (forward []*Edge, closing *Edge, ok bool) {
-	forward = make([]*Edge, len(g.NodeCost)-1)
-	for _, e := range g.Edges {
-		switch {
-		case e.ToPhase == e.FromPhase+1:
-			if forward[e.FromPhase] != nil {
-				return nil, nil, false
-			}
-			forward[e.FromPhase] = e
-		case e.FromPhase == len(g.NodeCost)-1 && e.ToPhase == 0 && len(g.NodeCost) > 1:
-			if closing != nil {
-				return nil, nil, false
-			}
-			closing = e
-		default:
-			return nil, nil, false
+// tieGroups contracts Ties: rep[p] is the smallest phase of p's tie
+// group, the one variable that stands for the whole group.
+func (g *Graph) tieGroups() []int32 {
+	rep := make([]int32, len(g.NodeCost))
+	for p := range rep {
+		rep[p] = int32(p)
+	}
+	find := func(p int32) int32 {
+		for rep[p] != p {
+			rep[p] = rep[rep[p]]
+			p = rep[p]
+		}
+		return p
+	}
+	for _, t := range g.Ties {
+		if a, b := find(int32(t[0])), find(int32(t[1])); a < b {
+			rep[b] = a
+		} else {
+			rep[a] = b
 		}
 	}
-	return forward, closing, true
-}
-
-// SolveDP selects optimally by dynamic programming for chain- or
-// ring-shaped graphs.  For a ring it fixes the first phase's candidate
-// and runs one chain DP per choice.  Returns an error for other
-// shapes — the ILP handles those.
-func (g *Graph) SolveDP() (*Selection, error) {
-	g.validate()
-	if len(g.Ties) > 0 {
-		return nil, fmt.Errorf("layoutgraph: DP does not support ties; use SolveILP")
+	for p := range rep {
+		rep[p] = find(int32(p))
 	}
-	forward, closing, ok := g.chainShape()
-	if !ok {
-		return nil, fmt.Errorf("layoutgraph: graph is not a chain or ring; use SolveILP")
-	}
-	n := len(g.NodeCost)
-	best := math.Inf(1)
-	var bestChoice []int
-	firstChoices := 1
-	if closing != nil {
-		firstChoices = len(g.NodeCost[0])
-	}
-	for f := 0; f < firstChoices; f++ {
-		cost := make([]float64, len(g.NodeCost[0]))
-		back := make([][]int, n)
-		for i, c := range g.NodeCost[0] {
-			cost[i] = c
-			if closing != nil && i != f {
-				cost[i] = math.Inf(1)
-			}
-		}
-		for p := 1; p < n; p++ {
-			next := make([]float64, len(g.NodeCost[p]))
-			back[p] = make([]int, len(g.NodeCost[p]))
-			for j, cj := range g.NodeCost[p] {
-				bestPrev, bestVal := -1, math.Inf(1)
-				for i := range cost {
-					v := cost[i]
-					if forward[p-1] != nil {
-						v += forward[p-1].Cost[i][j]
-					}
-					if v < bestVal {
-						bestVal, bestPrev = v, i
-					}
-				}
-				next[j] = bestVal + cj
-				back[p][j] = bestPrev
-			}
-			cost = next
-		}
-		for j := range cost {
-			total := cost[j]
-			if closing != nil {
-				total += closing.Cost[j][f]
-			}
-			if total < best {
-				best = total
-				choice := make([]int, n)
-				choice[n-1] = j
-				for p := n - 1; p > 0; p-- {
-					choice[p-1] = back[p][choice[p]]
-				}
-				bestChoice = choice
-			}
-		}
-	}
-	if bestChoice == nil {
-		return nil, fmt.Errorf("layoutgraph: DP found no selection")
-	}
-	return &Selection{Choice: bestChoice, Cost: g.evaluate(bestChoice)}, nil
+	return rep
 }
 
 // SolveGreedy selects each phase's cheapest candidate independently,
 // ignoring remapping costs (phases tied together pick the common index
 // minimizing their summed node cost).  It is the last-resort fallback
 // when a budget expires before the ILP finds any incumbent and the
-// graph is not a chain: always feasible, never optimal by construction,
-// but the reported Cost (including the ignored edge costs) is exact.
+// graph is over the DP's cap: always feasible, never optimal by
+// construction, but the reported Cost (including the ignored edge
+// costs) is exact.
 func (g *Graph) SolveGreedy() *Selection {
 	g.validate()
-	// Union tied phases into groups that must choose one common index.
-	group := make([]int, len(g.NodeCost))
-	for p := range group {
-		group[p] = p
-	}
-	var find func(p int) int
-	find = func(p int) int {
-		for group[p] != p {
-			group[p] = group[group[p]]
-			p = group[p]
+	rep := g.tieGroups()
+	sums := make([][]float64, len(g.NodeCost))
+	for p, costs := range g.NodeCost {
+		if sums[rep[p]] == nil {
+			sums[rep[p]] = make([]float64, len(costs))
 		}
-		return p
+		for i, c := range costs {
+			sums[rep[p]][i] += c
+		}
 	}
-	for _, t := range g.Ties {
-		group[find(t[0])] = find(t[1])
-	}
-	members := map[int][]int{}
-	for p := range g.NodeCost {
-		members[find(p)] = append(members[find(p)], p)
-	}
+	// rep[p] <= p, so a group's common index is decided before its
+	// other members read it.
 	choice := make([]int, len(g.NodeCost))
-	for root, ps := range members {
-		n := len(g.NodeCost[root])
-		bestI, bestCost := 0, math.Inf(1)
-		for i := 0; i < n; i++ {
-			total := 0.0
-			for _, p := range ps {
-				total += g.NodeCost[p][i]
-			}
-			if total < bestCost {
-				bestCost, bestI = total, i
-			}
+	for p := range choice {
+		if int(rep[p]) != p {
+			choice[p] = choice[rep[p]]
+			continue
 		}
-		for _, p := range ps {
-			choice[p] = bestI
+		for i, c := range sums[p] {
+			if c < sums[p][choice[p]] {
+				choice[p] = i
+			}
 		}
 	}
 	return &Selection{

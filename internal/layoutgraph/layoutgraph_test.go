@@ -1,6 +1,7 @@
 package layoutgraph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,7 +79,7 @@ func TestDPMatchesILPOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpSel, err := g.SolveDP()
+	dpSel, err := g.SolveElim(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestDPMatchesILPOnChain(t *testing.T) {
 
 func TestDPRing(t *testing.T) {
 	g := adiToy(5)
-	dpSel, err := g.SolveDP()
+	dpSel, err := g.SolveElim(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +99,39 @@ func TestDPRing(t *testing.T) {
 	}
 }
 
+// overCapGraph is a clique of 8 phases with 8 candidates each: whatever
+// the order, the first elimination needs 8^8 table cells.  Agreeing
+// choices are free and candidate 3 is cheapest everywhere, so the 0-1
+// relaxation is tight and the ILP answers at the root.
+func overCapGraph() *Graph {
+	const n, d = 8, 8
+	g := &Graph{NodeCost: make([][]float64, n)}
+	for p := range g.NodeCost {
+		g.NodeCost[p] = make([]float64, d)
+		for i := range g.NodeCost[p] {
+			g.NodeCost[p][i] = float64(1 + (i+d-3)%d)
+		}
+	}
+	for p := 0; p < n; p++ {
+		for q := p + 1; q < n; q++ {
+			e := &Edge{FromPhase: p, ToPhase: q, Cost: make([][]float64, d)}
+			for i := range e.Cost {
+				e.Cost[i] = make([]float64, d)
+				for j := range e.Cost[i] {
+					if i != j {
+						e.Cost[i][j] = 5
+					}
+				}
+			}
+			g.Edges = append(g.Edges, e)
+		}
+	}
+	return g
+}
+
+// TestDPRejectsGeneralGraphs: shape is never a reason to refuse — a
+// graph that is neither chain nor ring is solved — but width is: over
+// the table cap the DP returns *OverCapError and the ILP answers.
 func TestDPRejectsGeneralGraphs(t *testing.T) {
 	g := &Graph{
 		NodeCost: [][]float64{{1}, {1}, {1}},
@@ -105,11 +139,20 @@ func TestDPRejectsGeneralGraphs(t *testing.T) {
 			{FromPhase: 0, ToPhase: 2, Cost: [][]float64{{0}}},
 		},
 	}
-	if _, err := g.SolveDP(); err == nil {
-		t.Fatal("expected DP to reject a non-chain graph")
+	if sel, err := g.SolveElim(nil); err != nil || !approx(sel.Cost, 3) {
+		t.Fatalf("non-chain graph: %v, %v", sel, err)
 	}
-	if _, err := g.SolveILP(nil); err != nil {
+	wide := overCapGraph()
+	var over *OverCapError
+	if _, err := wide.SolveElim(nil); !errors.As(err, &over) {
+		t.Fatalf("expected *OverCapError on an 8x8 clique, got %v", err)
+	}
+	sel, err := wide.SolveILP(nil)
+	if err != nil {
 		t.Fatalf("ILP should handle it: %v", err)
+	}
+	if !approx(sel.Cost, 8) {
+		t.Errorf("clique cost %v (choice %v), want 8 (all candidate 3)", sel.Cost, sel.Choice)
 	}
 }
 
@@ -199,7 +242,7 @@ func TestQuickDPMatchesExhaustiveOnChains(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			g.Edges = append(g.Edges, randomEdge(rng, g, phases-1, 0))
 		}
-		dpSel, err := g.SolveDP()
+		dpSel, err := g.SolveElim(nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -399,9 +442,15 @@ func TestQuickTiesMatchExhaustive(t *testing.T) {
 	}
 }
 
-func TestDPRejectsTies(t *testing.T) {
-	g := &Graph{NodeCost: [][]float64{{1, 2}, {3, 4}}, Ties: [][2]int{{0, 1}}}
-	if _, err := g.SolveDP(); err == nil {
-		t.Fatal("DP should reject tied graphs")
+// TestDPContractsTies: tied phases are one variable of the DP, not a
+// reason to refuse.
+func TestDPContractsTies(t *testing.T) {
+	g := &Graph{NodeCost: [][]float64{{1, 5}, {9, 2}}, Ties: [][2]int{{0, 1}}}
+	sel, err := g.SolveElim(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Choice[0] != 1 || sel.Choice[1] != 1 || !approx(sel.Cost, 7) {
+		t.Errorf("choice = %v cost %v, want [1 1] cost 7", sel.Choice, sel.Cost)
 	}
 }

@@ -46,29 +46,21 @@ type Mutation struct {
 // of that are discarded and another target is tried.  An error is
 // returned only when src itself is invalid or no valid edit exists.
 func MutateProgram(src string, seed int64, opt Options) (string, Mutation, error) {
-	origSigs, err := phaseSigs(src, opt)
-	if err != nil {
-		return "", Mutation{}, fmt.Errorf("pcfg: mutate: %w", err)
-	}
+	var origSigs []string
 	rng := rand.New(rand.NewSource(seed))
 	const tries = 32
 	for t := 0; t < tries; t++ {
 		// Re-parse each attempt: mutations edit the AST in place, and a
 		// rejected candidate must not compound with the next one.
-		prog, perr := fortran.Parse(src)
-		if perr != nil {
-			return "", Mutation{}, perr
-		}
-		u, aerr := fortran.Analyze(prog)
-		if aerr != nil {
-			return "", Mutation{}, aerr
-		}
-		g, gerr := Build(u, opt)
-		if gerr != nil {
-			return "", Mutation{}, gerr
+		u, g, err := frontEnd(src, opt)
+		if err != nil {
+			return "", Mutation{}, fmt.Errorf("pcfg: mutate: %w", err)
 		}
 		if len(g.Phases) == 0 {
 			return "", Mutation{}, fmt.Errorf("pcfg: mutate: program has no phases")
+		}
+		if origSigs == nil {
+			origSigs = graphSigs(g) // of src: nothing has edited this AST yet
 		}
 		pi := rng.Intn(len(g.Phases))
 		kind, ok := applyMutation(rng, g.Phases[pi].Stmts())
@@ -76,8 +68,8 @@ func MutateProgram(src string, seed int64, opt Options) (string, Mutation, error
 			continue
 		}
 		out := fortran.Print(u.Prog)
-		newSigs, serr := phaseSigs(out, opt)
-		if serr != nil {
+		newSigs, err := phaseSigs(out, opt)
+		if err != nil {
 			continue // the edit broke the program; try another
 		}
 		if !oneSigChanged(origSigs, newSigs, pi) {
@@ -88,26 +80,39 @@ func MutateProgram(src string, seed int64, opt Options) (string, Mutation, error
 	return "", Mutation{}, fmt.Errorf("pcfg: mutate: no valid single-phase edit found in %d tries", tries)
 }
 
-// phaseSigs parses src and returns each phase's canonical statement
-// rendering, in phase order.
-func phaseSigs(src string, opt Options) ([]string, error) {
+// frontEnd parses and analyzes src and builds its PCFG.
+func frontEnd(src string, opt Options) (*fortran.Unit, *Graph, error) {
 	prog, err := fortran.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	u, err := fortran.Analyze(prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g, err := Build(u, opt)
 	if err != nil {
+		return nil, nil, err
+	}
+	return u, g, nil
+}
+
+// phaseSigs parses src and returns each phase's canonical statement
+// rendering, in phase order.
+func phaseSigs(src string, opt Options) ([]string, error) {
+	_, g, err := frontEnd(src, opt)
+	if err != nil {
 		return nil, err
 	}
+	return graphSigs(g), nil
+}
+
+func graphSigs(g *Graph) []string {
 	sigs := make([]string, len(g.Phases))
 	for i, ph := range g.Phases {
 		sigs[i] = fortran.PrintStmts(ph.Stmts())
 	}
-	return sigs, nil
+	return sigs
 }
 
 // oneSigChanged reports whether exactly the pi-th signature changed.

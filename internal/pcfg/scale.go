@@ -5,21 +5,21 @@ package pcfg
 // extent.  The paper's benchmarks top out at a dozen phases; these
 // families stress the selection machinery at 100-500 phases, where the
 // dense-tableau simplex falls off the interactive cliff (ROADMAP item
-// 3/4).  Two shapes cover the routing space:
+// 3/4).  Two shapes, both under the elimination DP's width cap:
 //
 //   - stencil-deep: a straight-line pipeline of stencil sweeps whose
 //     carried dependence alternates between the two grid dimensions,
 //     so consecutive phases prefer conflicting layouts and every PCFG
 //     edge is a live remapping decision.  The interphase layout graph
-//     is a path, so the structure router must answer with the exact
-//     tree DP and zero B&B nodes.
+//     is a path (width 1): the elimination DP answers it with zero
+//     B&B nodes.
 //
 //   - conflict-ring: a time-step control loop around a cycle of sweep
 //     phases over a rotating array pool, every other phase accessing
 //     its operand transposed (tomcatv's inter-dimensional conflict,
 //     tiled around a ring).  The loop's back edge closes a cycle, so
-//     the graph is NOT a forest and the 0-1 ILP must run — at these
-//     sizes on the sparse simplex path.
+//     the graph is not a forest but a ring (width 2): still the DP's,
+//     where it once forced the 0-1 ILP onto the sparse simplex.
 //
 // Generators are deterministic: same (family, phases) in, same source
 // out, so content-keyed caches and golden-style comparisons work.

@@ -273,10 +273,30 @@ func TestBoundedQueueAdmits(t *testing.T) {
 // analysis completes with the forfeit recorded as typed degradations
 // naming the same stage vocabulary, never as a failure.  The server's
 // DefaultTimeout clamp is the budget source here, so the clamp path is
-// covered too.
+// covered too.  The program is examples/conflict's: b is read both
+// canonically and transposed, so alignment has a 0-1 conflict for the
+// budget to cut — selection alone no longer does, the elimination DP
+// ignores the budget.
 func TestTimeoutDegradesLikeCLI(t *testing.T) {
 	srv := newTestServer(t, Config{MaxInFlight: 2, DefaultTimeout: time.Nanosecond})
-	src := programs.Adi(16, fortran.Real)
+	const src = `
+program conflict
+  parameter (n = 32)
+  real a(n,n), b(n,n), c(n,n)
+  do it = 1, 10
+    do j = 1, n
+      do i = 1, n
+        a(i,j) = b(i,j) + c(i,j)
+      end do
+    end do
+    do j = 1, n
+      do i = 1, n
+        c(i,j) = a(i,j) + b(j,i)
+      end do
+    end do
+  end do
+end
+`
 	rec := post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: src, Procs: 8}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("budgeted request failed instead of degrading: status %d, body %s", rec.Code, rec.Body)
