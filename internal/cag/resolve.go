@@ -21,8 +21,9 @@ type Stats struct {
 	// solved: dual-simplex reoptimization from the parent basis vs a
 	// from-scratch two-phase solve.  RCFixed counts binaries fixed by
 	// root reduced-cost presolve; Presolved counts binaries fixed by
-	// constraint propagation before branch and bound; LPSparse counts
-	// node relaxations served by the sparse revised simplex.
+	// constraint propagation before branch and bound.  LPSparse is
+	// always 0: it counted node relaxations on the removed sparse simplex
+	// and stays only because the benchmark harness compiles against it.
 	LPWarm    int
 	LPCold    int
 	RCFixed   int
@@ -251,7 +252,6 @@ func ResolveWS(g *Graph, d int, solver *ilp.Solver, ws *lp.Workspace) (*Resoluti
 		LPCold:      res.LPCold,
 		RCFixed:     res.RCFixed,
 		Presolved:   res.Presolved,
-		LPSparse:    res.LPSparse,
 		Duration:    time.Since(start),
 	}
 	out := &Resolution{Assignment: map[Node]int{}, Stats: stats}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/ilp"
-	"repro/internal/lp"
 	"repro/internal/stage"
 )
 
@@ -339,56 +337,6 @@ func TestChaosSharedCachePoison(t *testing.T) {
 			t.Fatalf("certification error names stage %q, want %q", ce.Stage, stage.Selection)
 		}
 	})
-}
-
-// TestChaosLPFactorize sweeps the sparse revised simplex's
-// factorization fault site.  The site is not in stage.All (the chaos
-// matrix's programs are below the sparse admission threshold, so the
-// hook would be dead there); forcing the sparse LP mode puts every
-// node relaxation on the sparse path, where the invariant is stronger
-// than typed-error-or-certified: a broken factorization must fall back
-// to the dense simplex and still produce the byte-exact answer —
-// "slower, never wrong".
-func TestChaosLPFactorize(t *testing.T) {
-	base, err := Analyze(context.Background(), Input{Source: adiSmall},
-		Options{Procs: 8, Workers: 4, Verify: VerifyOn, ForceILP: true,
-			Solver: &ilp.Solver{LPMode: lp.ForceSparse}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Solver.LPSparse == 0 {
-		t.Fatal("forced-sparse baseline served no sparse LPs; the sweep would test nothing")
-	}
-	for _, action := range fault.Actions {
-		t.Run(action.String(), func(t *testing.T) {
-			plan := fault.NewPlan(7).Arm(stage.LPFactorize, fault.Rule{Action: action, Delay: time.Millisecond})
-			opt := chaosOptions(t, plan)
-			opt.ForceILP = true
-			opt.Solver = &ilp.Solver{LPMode: lp.ForceSparse}
-			res, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
-			if plan.Hits()[stage.LPFactorize] == 0 {
-				t.Fatal("armed lp-factorize site never hit under forced-sparse mode")
-			}
-			if err != nil {
-				// Only a panic may surface (as a recovered typed error);
-				// fail and corrupt are absorbed by the dense fallback.
-				if action != fault.Panic || !typedChaosError(err) {
-					t.Fatalf("%v at lp-factorize escaped the dense fallback: %v (%T)", action, err, err)
-				}
-				return
-			}
-			if cerr := res.Certify(); cerr != nil {
-				t.Fatalf("silent wrong answer under %v: %v", action, cerr)
-			}
-			if res.TotalCost != base.TotalCost {
-				t.Fatalf("faulted run changed the answer: cost %v, baseline %v", res.TotalCost, base.TotalCost)
-			}
-			if (action == fault.Fail || action == fault.Corrupt) && res.Solver.LPSparse != 0 {
-				t.Fatalf("%v fired %d times yet %d LPs still count as sparse-served",
-					action, plan.Fired(stage.LPFactorize), res.Solver.LPSparse)
-			}
-		})
-	}
 }
 
 // TestVerifyModeResolution: the zero value certifies inside test

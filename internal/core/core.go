@@ -280,13 +280,16 @@ type SolverSummary struct {
 	LPCold   int `json:"lp_cold"`
 	RCFixed  int `json:"rc_fixed"`
 	// Presolved counts binaries fixed by constraint-propagation
-	// presolve across all solves; LPSparse counts node relaxations
-	// served by the sparse revised simplex.
+	// presolve across all solves.
 	Presolved int `json:"presolved"`
-	LPSparse  int `json:"lp_sparse"`
+	// LPSparse is always 0: the sparse revised simplex it counted is
+	// gone (the dense tableau is the only LP engine).  The wire field
+	// is pinned and the benchmark harness reads it, so it stays until a
+	// benchmark-only change removes both.
+	LPSparse int `json:"lp_sparse"`
 	// Route names how the layout selection was answered: "tree-dp"
 	// (exact polynomial DP on a forest-shaped layout graph),
-	// "presolved", "sparse" or "dense" (ILP variants), or "" when the
+	// "presolved" or "dense" (ILP variants), or "" when the
 	// selection came from an explicit baseline or fallback.
 	Route string `json:"route"`
 }

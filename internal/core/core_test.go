@@ -338,7 +338,6 @@ func TestSolverSummaryConsistent(t *testing.T) {
 			want.LPCold += st.LPCold
 			want.RCFixed += st.RCFixed
 			want.Presolved += st.Presolved
-			want.LPSparse += st.LPSparse
 		}
 		if sel := res.Selection; sel.Solver != "" || sel.BBNodes > 0 {
 			want.Solves++
@@ -348,7 +347,6 @@ func TestSolverSummaryConsistent(t *testing.T) {
 			want.LPCold += sel.LPCold
 			want.RCFixed += sel.RCFixed
 			want.Presolved += sel.Presolved
-			want.LPSparse += sel.LPSparse
 			want.Route = sel.Solver
 		}
 		if s != want {

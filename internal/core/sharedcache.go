@@ -95,8 +95,11 @@ func (c *SharedCache) get(key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.m[key]
+	var val any
 	if ok {
 		s.lru.MoveToFront(el)
+		// Read under the lock: put overwrites val in place on a refresh.
+		val = el.Value.(*sharedEntry).val
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -104,7 +107,7 @@ func (c *SharedCache) get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*sharedEntry).val, true
+	return val, true
 }
 
 // put inserts (or refreshes) a value, evicting the shard's least

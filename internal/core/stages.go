@@ -305,7 +305,7 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.
 		// (the store and cache sites among them) keep the reuse path, so
 		// chaos runs still travel through L2 and L3.
 		if opt.Timeout == 0 && opt.Solver == nil &&
-			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode, stage.LPFactorize) {
+			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
 				Str(keys.price).
@@ -459,7 +459,6 @@ func (r *Result) summarizeSolver() {
 		s.LPCold += st.LPCold
 		s.RCFixed += st.RCFixed
 		s.Presolved += st.Presolved
-		s.LPSparse += st.LPSparse
 	}
 	// A routed selection counts as a solve even with zero
 	// branch-and-bound nodes (the elimination DP and a fully presolved
@@ -473,7 +472,6 @@ func (r *Result) summarizeSolver() {
 		s.LPCold += sel.LPCold
 		s.RCFixed += sel.RCFixed
 		s.Presolved += sel.Presolved
-		s.LPSparse += sel.LPSparse
 		s.Route = sel.Solver
 	}
 	r.Solver = s

@@ -246,7 +246,7 @@ func TestStoreReuseYieldsToSolverFaults(t *testing.T) {
 	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, storeOptions(dir)); err != nil {
 		t.Fatal(err)
 	}
-	for _, site := range []string{stage.Selection, stage.ILPRoot, stage.BBNode, stage.LPFactorize} {
+	for _, site := range []string{stage.Selection, stage.ILPRoot, stage.BBNode} {
 		opt := storeOptions(dir)
 		opt.Fault = fault.NewPlan(3).Arm(site, fault.Rule{Action: fault.Delay, Delay: time.Microsecond})
 		res, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)

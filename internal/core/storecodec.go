@@ -21,8 +21,10 @@ import (
 // Bumping the version invalidates (quarantines) old records rather than
 // misreading them.
 const (
-	// v2: selection records carry the solver route and the
-	// presolve/sparse-LP counters.
+	// v2: selection records carry the solver route, the presolve counter
+	// and one int slot that held the sparse-LP counter — written 0 and
+	// skipped on read now that the dense tableau is the only LP engine,
+	// kept so records written by earlier binaries still decode.
 	storeCodecVersion = 2
 	storeKindSel      = "selection"
 )
@@ -50,7 +52,7 @@ func encodeSelection(sel layoutgraph.Selection) []byte {
 	e.Float(sel.Cost)
 	e.Int(sel.Vars).Int(sel.Constraints).Int(sel.BBNodes)
 	e.Int(sel.LPPivots).Int(sel.LPWarm).Int(sel.LPCold).Int(sel.RCFixed)
-	e.Int(sel.Presolved).Int(sel.LPSparse).Str(sel.Solver)
+	e.Int(sel.Presolved).Int(0).Str(sel.Solver)
 	e.Int(int(sel.Duration))
 	e.Bool(sel.Degraded).Str(sel.DegradeReason).Float(sel.Gap)
 	return e.Out()
@@ -77,7 +79,7 @@ func decodeSelection(b []byte) (layoutgraph.Selection, error) {
 	sel.LPCold = d.Int()
 	sel.RCFixed = d.Int()
 	sel.Presolved = d.Int()
-	sel.LPSparse = d.Int()
+	d.Int() // former sparse-LP counter
 	sel.Solver = d.Str()
 	sel.Duration = time.Duration(d.Int())
 	sel.Degraded = d.Bool()

@@ -285,7 +285,7 @@ type SelectionWire struct {
 	Degraded    bool    `json:"degraded"`
 	Gap         float64 `json:"gap"`
 	// Route names the solver that answered the selection ("tree-dp",
-	// "presolved", "sparse", "dense", or "" for baseline fallbacks).
+	// "presolved", "dense", or "" for baseline fallbacks).
 	// Additive v1 field: lenient clients skip it.
 	Route string `json:"route"`
 }

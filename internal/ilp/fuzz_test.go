@@ -103,28 +103,6 @@ func FuzzSolve(f *testing.F) {
 				got.LPWarm, got.LPCold, got.Nodes, coldRun.LPWarm)
 		}
 
-		// Forced-sparse LP routing: every node LP goes through the sparse
-		// revised simplex (or its verified fallback) and must land on the
-		// same status and objective.
-		sparseRun, err := (&Solver{LPMode: lp.ForceSparse}).Solve(p, binaries)
-		if err != nil {
-			t.Fatalf("Solve(ForceSparse): %v", err)
-		}
-		if got.Status != sparseRun.Status {
-			t.Fatalf("dense status %v, forced-sparse %v", got.Status, sparseRun.Status)
-		}
-		if got.Status == Optimal {
-			if math.Abs(got.Objective-sparseRun.Objective) > 1e-6 {
-				t.Fatalf("dense objective %v, forced-sparse %v", got.Objective, sparseRun.Objective)
-			}
-			if !satisfies(p, sparseRun.X) {
-				t.Fatalf("forced-sparse incumbent violates constraints: %v", sparseRun.X)
-			}
-		}
-		if sparseRun.Presolved != got.Presolved {
-			t.Fatalf("presolve fixed %d under forced-sparse, %d under dense", sparseRun.Presolved, got.Presolved)
-		}
-
 		// Presolve off is the pure branch-and-bound reference: the
 		// fixings are implied constraints, so disabling them cannot move
 		// the answer.

@@ -74,7 +74,6 @@ type Result struct {
 	LPPivots  int           // total simplex iterations across all nodes
 	LPWarm    int           // node LPs served by the warm dual-simplex path
 	LPCold    int           // node LPs solved cold (two-phase from scratch)
-	LPSparse  int           // node LPs served by the sparse revised simplex
 	RCFixed   int           // binaries fixed by root reduced-cost fixing
 	Presolved int           // binaries fixed by constraint-propagation presolve
 	Duration  time.Duration // wall-clock solve time
@@ -143,11 +142,6 @@ type Solver struct {
 	// independent reference for warm-vs-cold cross-checks in tests and
 	// benchmarks.
 	ColdStart bool
-	// LPMode routes the node LPs between the dense tableau simplex and
-	// the sparse revised simplex (lp.Auto picks by problem size and
-	// density).  It only takes effect on the workspace path; forcing a
-	// mode overrides whatever the caller's workspace was set to.
-	LPMode lp.Mode
 	// NoPresolve disables the constraint-propagation presolve that runs
 	// before branch and bound and fixes binaries forced by the rows
 	// (exactly-one cliques, implied bounds).  The presolve never changes
@@ -293,14 +287,6 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 	} else if ws == nil {
 		ws = lp.NewWorkspace()
 	}
-	if ws != nil {
-		if s.LPMode != lp.Auto {
-			ws.Mode = s.LPMode
-		}
-		if s.Fault != nil {
-			ws.Fault = s.Fault
-		}
-	}
 
 	bb := &bbState{
 		p:         p,
@@ -326,9 +312,9 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 		k := float64(len(binaries))
 		bb.boundSlack = perturbEps * k * (k + 1) / 2
 	}
-	warm0, cold0, sparse0 := 0, 0, 0
+	warm0, cold0 := 0, 0
 	if ws != nil {
-		warm0, cold0, sparse0 = ws.Warm, ws.Cold, ws.Sparse
+		warm0, cold0 = ws.Warm, ws.Cold
 	}
 	err := bb.search()
 	if err != nil {
@@ -344,7 +330,6 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 	}
 	if ws != nil {
 		res.LPWarm, res.LPCold = ws.Warm-warm0, ws.Cold-cold0
-		res.LPSparse = ws.Sparse - sparse0
 	} else {
 		res.LPCold = bb.nodes
 	}

@@ -173,8 +173,7 @@ func TestQuickElimMatchesOracles(t *testing.T) {
 		t.Fatal("no random graph had a unique perturbed optimum to compare choices on")
 	}
 
-	wide := overCapGraph()
-	sel, err := wide.SolveAutoWS(nil, nil)
+	sel, err := overCapILP()
 	if err != nil {
 		t.Fatalf("SolveAutoWS over the cap: %v", err)
 	}

@@ -69,13 +69,13 @@ type Selection struct {
 	// Solver names the route that produced the selection: "tree-dp"
 	// (the exact tree-decomposition DP, SolveElim), "presolved"
 	// (constraint propagation fixed every binary before branch and
-	// bound), "sparse" (ILP with node LPs on the sparse revised
-	// simplex), "dense" (ILP on the dense tableau simplex), or "" for
+	// bound), "dense" (ILP on the dense tableau simplex), or "" for
 	// the explicit baselines (SolveGreedy, SolveExhaustive).
 	Solver string
 	// Presolved counts binaries fixed by the ILP's constraint
-	// propagation; LPSparse counts node LPs served by the sparse
-	// revised simplex.  Both are zero on the tree-dp route.
+	// propagation (zero on the tree-dp route).  LPSparse is always 0:
+	// it counted node LPs on the removed sparse simplex and stays only
+	// because the benchmark harness compiles against it.
 	Presolved, LPSparse int
 	// Degraded reports the selection is a feasible incumbent (or a
 	// heuristic fallback) rather than a proven optimum — the solve was
@@ -245,16 +245,11 @@ func (g *Graph) SolveILPWS(solver *ilp.Solver, ws *lp.Workspace) (*Selection, er
 		LPCold:      res.LPCold,
 		RCFixed:     res.RCFixed,
 		Presolved:   res.Presolved,
-		LPSparse:    res.LPSparse,
 		Duration:    time.Since(start),
 	}
-	switch {
-	case res.Presolved == len(binaries) && len(binaries) > 0:
+	sel.Solver = "dense"
+	if res.Presolved == len(binaries) && len(binaries) > 0 {
 		sel.Solver = "presolved"
-	case res.LPSparse > 0:
-		sel.Solver = "sparse"
-	default:
-		sel.Solver = "dense"
 	}
 	switch {
 	case res.Status == ilp.Optimal:

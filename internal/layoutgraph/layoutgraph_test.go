@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/ilp"
 )
@@ -129,6 +131,13 @@ func overCapGraph() *Graph {
 	return g
 }
 
+// overCapILP is the over-cap clique answered once by the default router
+// (the DP refuses, the 0-1 ILP answers) and shared by the tests that
+// need it: on the dense tableau the 1 856-binary model takes seconds.
+var overCapILP = sync.OnceValues(func() (*Selection, error) {
+	return overCapGraph().SolveAutoWS(nil, nil)
+})
+
 // TestDPRejectsGeneralGraphs: shape is never a reason to refuse — a
 // graph that is neither chain nor ring is solved — but width is: over
 // the table cap the DP returns *OverCapError and the ILP answers.
@@ -147,12 +156,36 @@ func TestDPRejectsGeneralGraphs(t *testing.T) {
 	if _, err := wide.SolveElim(nil); !errors.As(err, &over) {
 		t.Fatalf("expected *OverCapError on an 8x8 clique, got %v", err)
 	}
-	sel, err := wide.SolveILP(nil)
+	sel, err := overCapILP()
 	if err != nil {
 		t.Fatalf("ILP should handle it: %v", err)
 	}
 	if !approx(sel.Cost, 8) {
 		t.Errorf("clique cost %v (choice %v), want 8 (all candidate 3)", sel.Cost, sel.Choice)
+	}
+}
+
+// TestOverCapBudgetBounded: over the cap the dense pivot loop's abort
+// check is the only thing between a wall-clock budget and a
+// multi-second root LP.  A 50 ms budget must come back promptly with a
+// degraded incumbent or *NoIncumbentError — never a hang, never a
+// selection passed off as optimal.
+func TestOverCapBudgetBounded(t *testing.T) {
+	start := time.Now()
+	sel, err := overCapGraph().SolveAutoWS(&ilp.Solver{MaxTime: 50 * time.Millisecond}, nil)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("50ms budget took %v", elapsed)
+	}
+	var noInc *NoIncumbentError
+	switch {
+	case errors.As(err, &noInc):
+		if !noInc.Status.Limited() {
+			t.Errorf("NoIncumbentError carries status %v, want a limited one", noInc.Status)
+		}
+	case err != nil:
+		t.Fatalf("budgeted over-cap solve: %v (%T)", err, err)
+	case !sel.Degraded:
+		t.Errorf("budgeted over-cap solve claims an optimum: route %q, cost %v", sel.Solver, sel.Cost)
 	}
 }
 

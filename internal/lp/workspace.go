@@ -1,33 +1,6 @@
 package lp
 
-import (
-	"math"
-
-	"repro/internal/fault"
-)
-
-// Mode selects which simplex core a Workspace uses.
-type Mode int8
-
-const (
-	// Auto picks the sparse core for large, sparse problems (see
-	// useSparse) and the dense tableau otherwise.
-	Auto Mode = iota
-	// ForceDense always uses the dense reference tableau.
-	ForceDense
-	// ForceSparse always uses the sparse revised-simplex core (it
-	// still falls back to dense when the sparse core gives up — the
-	// mode forces the attempt, not the outcome).
-	ForceSparse
-)
-
-// Sparse-mode admission thresholds for Auto: the dense tableau is
-// m×n cells of work per pivot, so the sparse core pays off once the
-// cell count is large and the matrix is mostly zeros.
-const (
-	sparseMinCells   = 1 << 18
-	sparseDensityInv = 16 // sparse when nnz ≤ cells/16
-)
+import "math"
 
 // Workspace is persistent solver state for a sequence of related
 // solves: it owns a reusable tableau (dense rows, bounds, statuses,
@@ -59,18 +32,6 @@ type Workspace struct {
 	Warm   int // solves served by the warm dual-simplex path
 	Cold   int // solves that ran (or fell back to) the cold two-phase path
 	Pivots int // total simplex pivots across both paths
-	Sparse int // solves served by the sparse revised-simplex core
-
-	// Mode selects the simplex core; the zero value Auto routes by the
-	// problem's size and density.
-	Mode Mode
-
-	// Fault carries chaos hooks into the sparse factorization path
-	// (the lp-factorize site).  nil in production.
-	Fault *fault.Plan
-
-	sp      *sparseCore
-	spReady bool // sp holds an Optimal basis with phase-2 reduced costs
 
 	// warmCap overrides the dual-simplex pivot cap (tests force tiny
 	// caps to exercise the cold fallback).  0 means automatic.
@@ -102,17 +63,6 @@ func (ws *Workspace) ReoptimizeBounds(p *Problem, v int, lo, hi float64, abort f
 // The returned Solution is owned by the workspace and valid only until
 // the next call.
 func (ws *Workspace) Reoptimize(p *Problem, abort func() bool) (*Solution, error) {
-	if ws.spReady && ws.canWarmSparse(p) {
-		sol, ok, err := ws.sparseWarm(p, abort)
-		if err != nil {
-			ws.spReady = false
-			return nil, err
-		}
-		if ok {
-			return sol, nil
-		}
-		return ws.cold(p, abort)
-	}
 	if !ws.canWarm(p) {
 		return ws.cold(p, abort)
 	}
@@ -133,12 +83,6 @@ func (ws *Workspace) Reoptimize(p *Problem, abort func() bool) (*Solution, error
 // costs at least t·d in objective — the bound behind reduced-cost
 // fixing in package ilp.  Valid until the next call.
 func (ws *Workspace) ReducedCost(v int) float64 {
-	if ws.spReady {
-		if v >= ws.sp.nStruct || ws.sp.status[v] == inBasis {
-			return 0
-		}
-		return ws.sp.d[v]
-	}
 	if !ws.ready || v >= ws.tb.nStruct {
 		return 0
 	}
@@ -169,24 +113,10 @@ func (ws *Workspace) canWarm(p *Problem) bool {
 	return true
 }
 
-// cold runs a from-scratch solve, routing to the sparse core when the
-// mode and the problem shape call for it and falling back to the dense
-// two-phase reference whenever the sparse core gives up.
+// cold runs a from-scratch two-phase solve in the workspace's tableau.
 func (ws *Workspace) cold(p *Problem, abort func() bool) (*Solution, error) {
-	ws.ready, ws.spReady = false, false
+	ws.ready = false
 	ws.p = p
-	if ws.useSparse(p) {
-		sol, ok, err := ws.sparseCold(p, abort)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return sol, nil
-		}
-		// Singular refactorization, iteration cap, failed terminal
-		// verification or an injected lp-factorize fault: the dense
-		// reference path below answers instead — slower, never wrong.
-	}
 	tb := &ws.tb
 	tb.init(p)
 	tb.abort = abort
@@ -200,124 +130,6 @@ func (ws *Workspace) cold(p *Problem, abort func() bool) (*Solution, error) {
 		ws.ready = true
 	}
 	return ws.finish(st, tb.iters)
-}
-
-// useSparse decides the core for one cold solve of p.
-func (ws *Workspace) useSparse(p *Problem) bool {
-	switch ws.Mode {
-	case ForceDense:
-		return false
-	case ForceSparse:
-		return true
-	}
-	m := len(p.rows)
-	nStruct := len(p.obj)
-	if m == 0 || nStruct == 0 {
-		return false
-	}
-	nSlack, nnz := 0, 0
-	for _, r := range p.rows {
-		if r.Rel != EQ {
-			nSlack++
-		}
-		nnz += len(r.Terms)
-	}
-	cells := m * (nStruct + nSlack + m)
-	if cells < sparseMinCells {
-		return false
-	}
-	return (nnz+nSlack+m)*sparseDensityInv <= cells
-}
-
-// sparseCold runs the sparse two-phase solve.  ok=false means the
-// sparse core gave up and the caller must run the dense path.
-func (ws *Workspace) sparseCold(p *Problem, abort func() bool) (*Solution, bool, error) {
-	if ws.sp == nil {
-		ws.sp = &sparseCore{}
-	}
-	sc := ws.sp
-	sc.fp = ws.Fault
-	sc.abort = abort
-	if !sc.init(p) {
-		return nil, false, nil
-	}
-	st, ok := sc.runTwoPhase(p)
-	if !ok {
-		if sc.aborted {
-			return nil, false, ErrCanceled
-		}
-		return nil, false, nil
-	}
-	ws.Cold++
-	ws.Sparse++
-	ws.Pivots += sc.iters
-	if st == Optimal {
-		ws.spReady = true
-	}
-	sol, err := ws.finishSparse(st, sc.iters)
-	return sol, true, err
-}
-
-// canWarmSparse mirrors canWarm for the sparse core.
-func (ws *Workspace) canWarmSparse(p *Problem) bool {
-	if ws.sp == nil || ws.p != p {
-		return false
-	}
-	sc := ws.sp
-	if len(p.rows) != sc.m || len(p.obj) != sc.nStruct {
-		return false
-	}
-	for j, c := range p.obj {
-		if sc.cost[j] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// sparseWarm reoptimizes from the sparse core's previous optimal basis
-// with the bounded-variable dual simplex.  ok=false sends the caller
-// to cold (which re-routes, so a persistently failing sparse core
-// degrades to dense).
-func (ws *Workspace) sparseWarm(p *Problem, abort func() bool) (sol *Solution, ok bool, err error) {
-	sc := ws.sp
-	sc.abort = abort
-	out, iters := sc.dualReoptimize(p, ws.warmCap)
-	if sc.aborted {
-		return nil, false, ErrCanceled
-	}
-	ws.Pivots += iters
-	switch out {
-	case dualOptimal:
-		ws.Warm++
-		ws.Sparse++
-		s, ferr := ws.finishSparse(Optimal, iters)
-		return s, true, ferr
-	case dualInfeasible:
-		ws.Warm++
-		ws.Sparse++
-		s, ferr := ws.finishSparse(Infeasible, iters)
-		return s, true, ferr
-	default:
-		return nil, false, nil
-	}
-}
-
-// finishSparse assembles the reusable Solution from the sparse core.
-func (ws *Workspace) finishSparse(st Status, iters int) (*Solution, error) {
-	ws.sol = Solution{Status: st, Iterations: iters}
-	if st != Optimal {
-		return &ws.sol, nil
-	}
-	ws.x = resizeF(ws.x, ws.sp.nStruct)
-	ws.sp.extractInto(ws.x)
-	obj := 0.0
-	for j, c := range ws.p.obj {
-		obj += c * ws.x[j]
-	}
-	ws.sol.Objective = obj
-	ws.sol.X = ws.x
-	return &ws.sol, nil
 }
 
 // finish assembles the reusable Solution for the current basis.

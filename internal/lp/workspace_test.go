@@ -268,3 +268,28 @@ func TestWarmReoptimizeAllocFree(t *testing.T) {
 		t.Errorf("reoptimization allocates %.1f objects per round, want 0", allocs)
 	}
 }
+
+// TestColdResolveAllocFree pins the cross-size reuse contract of the
+// workspace: after warm-up, cold re-solves allocate nothing —
+// including a smaller problem following a larger one, which must
+// reslice the tableau, not regrow it.
+func TestColdResolveAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	big := randomBoxLP(rng, 24, 18)
+	small := randomBoxLP(rng, 5, 4)
+	ws := NewWorkspace()
+	if _, err := ws.Solve(big, nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ws.Solve(big, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.Solve(small, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("cold big+small re-solve pair allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -18,8 +18,7 @@ package pcfg
 //     phases over a rotating array pool, every other phase accessing
 //     its operand transposed (tomcatv's inter-dimensional conflict,
 //     tiled around a ring).  The loop's back edge closes a cycle, so
-//     the graph is not a forest but a ring (width 2): still the DP's,
-//     where it once forced the 0-1 ILP onto the sparse simplex.
+//     the graph is not a forest but a ring (width 2): still the DP's.
 //
 // Generators are deterministic: same (family, phases) in, same source
 // out, so content-keyed caches and golden-style comparisons work.

@@ -81,7 +81,6 @@ func (c *counters) addResult(res *core.Result) {
 	t.Solver.LPCold += st.Solver.LPCold
 	t.Solver.RCFixed += st.Solver.RCFixed
 	t.Solver.Presolved += st.Solver.Presolved
-	t.Solver.LPSparse += st.Solver.LPSparse
 	// Route is categorical, not additive: the totals keep the latest
 	// run's route so the field always names a real route.
 	if st.Solver.Route != "" {

@@ -96,21 +96,6 @@ const ServiceFlight = "service-flight"
 // path, which the dedicated incremental chaos tests sweep.
 const IncrementalInvalidate = "incremental-invalidate"
 
-// LPFactorize is the sparse simplex core's basis-(re)factorization
-// injection site (internal/lp): it fires once per product-form
-// factorization — at every sparse cold start and at every periodic
-// refactorization during pivoting.  A Fail rule makes the
-// factorization report failure, a Corrupt rule perturbs the first eta
-// pivot value so the factorized B⁻¹ silently drifts; in both cases the
-// workspace's terminal verification must reject the sparse result and
-// fall back to the dense reference path — a refactorization fault may
-// cost time, never correctness.  Like ServiceFlight it is deliberately
-// NOT part of All: the core chaos matrix sweeps All against small
-// programs whose LPs stay under the sparse-mode size threshold, so the
-// site would never be hit there; the dedicated lp/core sparse chaos
-// tests sweep it with the sparse mode forced instead.
-const LPFactorize = "lp-factorize"
-
 // All lists every stage in execution order; chaos sweeps iterate it so
 // a newly added stage is exercised automatically.
 var All = []string{Parse, Dep, AlignSolve, SpaceBuild, Pricing, ILPRoot, BBNode, Selection, Cache, CacheShared, StoreOpen, StoreRead, StoreWrite}
