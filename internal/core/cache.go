@@ -72,40 +72,91 @@ type StoreSummary struct {
 	MemoryOnly bool `json:"memory_only"`
 }
 
-// sharedLayer is one run's view of the injected SharedCache: the
-// precomputed content-hash key prefixes plus per-run traffic counters
-// (the SharedCache's own counters span its whole lifetime).
+// hitMiss is a pair of lookup counters.
+type hitMiss struct{ hits, misses atomic.Int64 }
+
+func (c *hitMiss) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+}
+
+func (c *hitMiss) stats() CacheStats {
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+}
+
+// memo is the one memoization primitive: a mutex-guarded map with
+// hit/miss counters, behind the per-run pricing and remap tiers (L1) and
+// the session's alignment memo.  Safe for concurrent use.  The zero
+// value is ready; a nil *memo is a disabled one (every get misses
+// uncounted and put drops the value), which keeps call sites
+// unconditional.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+	hitMiss
+}
+
+func (c *memo[K, V]) get(k K) (v V, ok bool) {
+	if c == nil {
+		return v, false
+	}
+	c.mu.Lock()
+	v, ok = c.m[k]
+	c.mu.Unlock()
+	c.count(ok)
+	return v, ok
+}
+
+func (c *memo[K, V]) put(k K, v V) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[K]V{}
+	}
+	c.m[k] = v
+	c.mu.Unlock()
+}
+
+func (c *memo[K, V]) stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
+	return c.hitMiss.stats()
+}
+
+// cacheKey identifies one memoized value in every tier.  ctx is the
+// content hash of what is fixed per run (see deriveSharedKeys); a, b
+// and c are the entry's own parts, kept as separate strings so that
+// building a key allocates nothing and part boundaries cannot collide:
+//
+//	pricing     {priceCtx, phase signature, layout FullKey, ""}
+//	transition  {remapCtx, from FullKey, to FullKey, live-array list}
+//	selection   {selCtx, "", "", ""}
+//
+// The phase signature (the canonical statement rendering) captures
+// everything the compiler model reads from the phase and the FullKey
+// the exact alignment and distribution, so phases with identical
+// computations — repeated sweeps are the common case — share pricings.
+type cacheKey struct{ ctx, a, b, c string }
+
+// sharedLayer is one run's view of the injected SharedCache (L2): the
+// cache plus this run's traffic per entry kind (the SharedCache's own
+// counters span its whole lifetime).
 type sharedLayer struct {
-	cache *SharedCache
-	keys  sharedKeys
-
-	priceHits, priceMisses atomic.Int64
-	remapHits, remapMisses atomic.Int64
-	selHits, selMisses     atomic.Int64
+	cache   *SharedCache
+	traffic [3]hitMiss // indexed by kindPrice, kindRemap, kindSelection
 }
 
-// priceEntryKey builds the full shared-cache key for one pricing.
-func (k sharedKeys) priceEntryKey(pk priceKey) string {
-	return k.price + "\x1f" + pk.sig + "\x1f" + pk.layout
-}
-
-// remapEntryKey builds the full shared-cache key for one transition.
-func (k sharedKeys) remapEntryKey(rk remapKey) string {
-	return k.remap + "\x1f" + rk.from + "\x1f" + rk.to + "\x1f" + rk.names
-}
-
-// priceKey identifies one (phase computation, candidate layout)
-// pricing.  The machine model, compiler options and default trip count
-// are fixed per run, so they are not part of the key; the phase
-// signature (its canonical statement rendering) captures everything the
-// compiler model reads from the phase, and the layout's FullKey
-// captures the exact alignment and distribution.  Phases with identical
-// computations — repeated sweeps are the common case — therefore share
-// pricings.
-type priceKey struct {
-	sig    string
-	layout string
-}
+const (
+	kindPrice = iota
+	kindRemap
+	kindSelection
+)
 
 // priced is one memoized candidate evaluation.  The Plan is shared by
 // every candidate with the same key; plans are read-only after
@@ -115,220 +166,93 @@ type priced struct {
 	est  execmodel.Estimate
 }
 
-// priceCache memoizes candidate pricings for one run.  Safe for
-// concurrent use.  A nil priceCache disables memoization (every lookup
-// misses and nothing is stored), which keeps call sites unconditional.
-type priceCache struct {
-	mu     sync.Mutex
-	m      map[priceKey]priced
-	hits   atomic.Int64
-	misses atomic.Int64
+// lookup is the one walk through the memoization tiers: the per-run
+// memo (L1), then the injected SharedCache (L2), then compute, filling
+// every tier above the one that answered.  The on-disk store is not
+// consulted: a pricing or a transition costs less to recompute than a
+// record costs to read.  Two workers missing the same key concurrently
+// both compute it (the models are pure, so the duplicate work is
+// harmless and the values identical); both count as misses.
+//
+// The cache-shared fault site fires on every L2 lookup (so chaos sweeps
+// exercise the layer even when cold) and its Corrupt action poisons the
+// cost — the float64 cost(&v) points at — that an L2 hit serves and
+// promotes to L1, which the Result certificate catches by re-deriving
+// costs straight from the models.  A foreign value under our key can
+// only mean a corrupted cache; it is a miss.
+func lookup[V any](r *Result, l1 *memo[cacheKey, V], kind int, k cacheKey, cost func(*V) *float64, compute func() V) (_ V, fromL2 bool) {
+	if v, ok := l1.get(k); ok {
+		return v, false
+	}
+	sl := r.shared
+	if sl != nil {
+		if ferr := r.opt.Fault.Err(stage.CacheShared); ferr != nil {
+			panic(ferr)
+		}
+		got, _ := sl.cache.get(k)
+		hit, ok := got.(V)
+		sl.traffic[kind].count(ok)
+		if ok {
+			t := cost(&hit)
+			*t = r.opt.Fault.Corrupt(stage.CacheShared, *t)
+			l1.put(k, hit)
+			return hit, true
+		}
+	}
+	v := compute()
+	l1.put(k, v)
+	if sl != nil {
+		sl.cache.put(k, v)
+	}
+	return v, false
 }
 
-func newPriceCache(disabled bool) *priceCache {
-	if disabled {
-		return nil
-	}
-	return &priceCache{m: map[priceKey]priced{}}
-}
-
-func (c *priceCache) get(k priceKey) (priced, bool) {
-	if c == nil {
-		return priced{}, false
-	}
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
-func (c *priceCache) put(k priceKey, v priced) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
-}
-
-func (c *priceCache) stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// price evaluates one candidate layout for a phase through the cache:
+// price evaluates one candidate layout for a phase through the tiers:
 // the compiler model simulates the communication the layout induces and
-// the execution model prices the resulting schedule.  Two workers
-// missing the same key concurrently both compute it (the models are
-// pure, so the duplicate work is harmless and the values identical);
-// both count as misses.
-func (r *Result) price(pr *PhaseResult, l *layout.Layout) (*compmodel.Plan, execmodel.Estimate) {
+// the execution model prices the resulting schedule.
+func (r *Result) price(pr *PhaseResult, l *layout.Layout, fullKey string) (*compmodel.Plan, execmodel.Estimate) {
 	// The cache fault site: price has no error return, so an injected
 	// failure panics and surfaces as the usual typed *InternalError via
 	// the package's recovery boundaries — semantically right for a
-	// broken memoization layer.  Corruption perturbs the estimate a
-	// cached (or fresh) lookup hands back, which the Result certificate
-	// catches by re-deriving costs straight from the models.
+	// broken memoization layer.  Corruption perturbs the estimate an L1
+	// hit or a fresh evaluation hands back (never the stored value),
+	// which the Result certificate catches.
 	if ferr := r.opt.Fault.Err(stage.Cache); ferr != nil {
 		panic(ferr)
 	}
-	k := priceKey{sig: pr.sig, layout: l.FullKey()}
-	if v, ok := r.prices.get(k); ok {
+	k := cacheKey{ctx: r.keys.price, a: pr.sig, b: fullKey}
+	v, fromL2 := lookup(r, r.prices, kindPrice, k,
+		func(p *priced) *float64 { return &p.est.Time },
+		func() priced {
+			plan := compmodel.Analyze(r.Unit, pr.Info, l, r.opt.Compiler)
+			return priced{plan: plan, est: execmodel.Evaluate(plan, pr.DataType, r.Machine, r.opt.Compiler)}
+		})
+	if !fromL2 {
 		v.est.Time = r.opt.Fault.Corrupt(stage.Cache, v.est.Time)
-		return v.plan, v.est
 	}
-	// Per-run miss: consult the shared cross-run layer before paying for
-	// a model evaluation.  The on-disk store is not consulted: a pricing
-	// costs less to recompute than a record costs to read.
-	if v, ok := r.sharedPriceGet(k); ok {
-		r.prices.put(k, v)
-		return v.plan, v.est
-	}
-	plan := compmodel.Analyze(r.Unit, pr.Info, l, r.opt.Compiler)
-	est := execmodel.Evaluate(plan, pr.DataType, r.Machine, r.opt.Compiler)
-	r.prices.put(k, priced{plan: plan, est: est})
-	if sl := r.shared; sl != nil {
-		sl.cache.put(sl.keys.priceEntryKey(k), priced{plan: plan, est: est})
-	}
-	est.Time = r.opt.Fault.Corrupt(stage.Cache, est.Time)
-	return plan, est
-}
-
-// sharedPriceGet looks a pricing up in the process-wide shared cache.
-// The cache-shared fault site fires on every lookup (so chaos sweeps
-// exercise the layer even when cold), and its Corrupt action poisons
-// the estimate a hit serves — which the Result certificate catches by
-// re-deriving costs straight from the models.
-func (r *Result) sharedPriceGet(k priceKey) (priced, bool) {
-	sl := r.shared
-	if sl == nil {
-		return priced{}, false
-	}
-	if ferr := r.opt.Fault.Err(stage.CacheShared); ferr != nil {
-		panic(ferr)
-	}
-	v, ok := sl.cache.get(sl.keys.priceEntryKey(k))
-	if !ok {
-		sl.priceMisses.Add(1)
-		return priced{}, false
-	}
-	p, good := v.(priced)
-	if !good {
-		// A foreign value under our key can only mean a corrupted
-		// cache; treat it as a miss and recompute.
-		sl.priceMisses.Add(1)
-		return priced{}, false
-	}
-	sl.priceHits.Add(1)
-	p.est.Time = r.opt.Fault.Corrupt(stage.CacheShared, p.est.Time)
-	return p, true
-}
-
-// remapKey identifies one transition pricing: the exact source and
-// target layouts plus the live-array list the cost is charged for.  The
-// machine model and the array table are fixed per run.
-type remapKey struct {
-	from, to string
-	names    string
-}
-
-// remapCache memoizes transition costs for one run.  Safe for
-// concurrent use; nil disables it.
-type remapCache struct {
-	mu     sync.Mutex
-	m      map[remapKey]float64
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-func newRemapCache(disabled bool) *remapCache {
-	if disabled {
-		return nil
-	}
-	return &remapCache{m: map[remapKey]float64{}}
-}
-
-func (c *remapCache) stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	return v.plan, v.est
 }
 
 // remapCost prices moving the named live arrays between two layouts
-// through the cache.  fromKey/toKey are the layouts' FullKeys,
-// precomputed by the caller so hot loops build each key once per
-// candidate instead of once per lookup; they are ignored (and may be
-// empty) when the cache is disabled.
+// through the tiers.  fromKey/toKey are the layouts' FullKeys (carried
+// by their candidates) and joined is joinNames(names), built once per
+// edge by the caller instead of once per lookup.
 func (r *Result) remapCost(from, to *layout.Layout, fromKey, toKey string, names []string, joined string) float64 {
-	if r.remaps == nil {
-		return remap.Cost(from, to, r.Unit.Arrays, names, r.Machine)
-	}
-	k := remapKey{from: fromKey, to: toKey, names: joined}
-	r.remaps.mu.Lock()
-	v, ok := r.remaps.m[k]
-	r.remaps.mu.Unlock()
-	if ok {
-		r.remaps.hits.Add(1)
-		return v
-	}
-	r.remaps.misses.Add(1)
-	if sv, sok := r.sharedRemapGet(k); sok {
-		r.remaps.mu.Lock()
-		r.remaps.m[k] = sv
-		r.remaps.mu.Unlock()
-		return sv
-	}
-	v = remap.Cost(from, to, r.Unit.Arrays, names, r.Machine)
-	r.remaps.mu.Lock()
-	r.remaps.m[k] = v
-	r.remaps.mu.Unlock()
-	if sl := r.shared; sl != nil {
-		sl.cache.put(sl.keys.remapEntryKey(k), v)
-	}
+	k := cacheKey{ctx: r.keys.remap, a: fromKey, b: toKey, c: joined}
+	v, _ := lookup(r, r.remaps, kindRemap, k,
+		func(c *float64) *float64 { return c },
+		func() float64 { return remap.Cost(from, to, r.Unit.Arrays, names, r.Machine) })
 	return v
-}
-
-// sharedRemapGet looks a transition cost up in the process-wide shared
-// cache; same fault-site semantics as sharedPriceGet.
-func (r *Result) sharedRemapGet(k remapKey) (float64, bool) {
-	sl := r.shared
-	if sl == nil {
-		return 0, false
-	}
-	if ferr := r.opt.Fault.Err(stage.CacheShared); ferr != nil {
-		panic(ferr)
-	}
-	v, ok := sl.cache.get(sl.keys.remapEntryKey(k))
-	if !ok {
-		sl.remapMisses.Add(1)
-		return 0, false
-	}
-	c, good := v.(float64)
-	if !good {
-		sl.remapMisses.Add(1)
-		return 0, false
-	}
-	sl.remapHits.Add(1)
-	return r.opt.Fault.Corrupt(stage.CacheShared, c), true
 }
 
 // syncCacheStats snapshots the cache counters into the public Result
 // field; called at the end of every public operation that prices
 // candidates or transitions.
 func (r *Result) syncCacheStats() {
-	r.Cache = CacheSummary{Pricing: r.prices.stats(), Remap: r.remaps.stats()}
+	r.Cache = CacheSummary{Pricing: r.prices.stats(), Remap: r.remaps.stats(), Store: r.store.summary()}
 	if sl := r.shared; sl != nil {
-		r.Cache.SharedPricing = CacheStats{Hits: sl.priceHits.Load(), Misses: sl.priceMisses.Load()}
-		r.Cache.SharedRemap = CacheStats{Hits: sl.remapHits.Load(), Misses: sl.remapMisses.Load()}
-		r.Cache.SharedSelection = CacheStats{Hits: sl.selHits.Load(), Misses: sl.selMisses.Load()}
+		r.Cache.SharedPricing = sl.traffic[kindPrice].stats()
+		r.Cache.SharedRemap = sl.traffic[kindRemap].stats()
+		r.Cache.SharedSelection = sl.traffic[kindSelection].stats()
 	}
-	r.Cache.Store = r.store.summary()
 }

@@ -178,12 +178,6 @@ type Options struct {
 	// Fault is the fault-injection plan driving chaos tests (package
 	// fault).  nil — the default — disarms every injection site.
 	Fault *fault.Plan
-
-	// inc is the incremental-update context Session.Update threads
-	// through the stage functions (nil on every other path): the
-	// previous run's artifacts to reuse from, the replay/reuse
-	// counters and the alignment memo.
-	inc *incrementalRun
 }
 
 // Validate checks the options without normalizing them: the processor
@@ -234,6 +228,10 @@ type Candidate struct {
 	Estimate    execmodel.Estimate
 	// Cost is the frequency-weighted estimated time (µs).
 	Cost float64
+
+	// fullKey is Layout.FullKey(), the layout's part of every cacheKey,
+	// built once when the candidate is priced.
+	fullKey string
 }
 
 // PhaseResult bundles a phase with its search space.
@@ -362,13 +360,16 @@ type Result struct {
 	// opt retains the invocation options for re-selection after search
 	// space edits.
 	opt Options
-	// prices and remaps are the run's memoization layers (nil when
+	// prices and remaps are the run's memoization layers (L1; nil when
 	// Options.NoCache); they stay attached so InsertCandidate and
 	// Reselect keep benefiting from them.
-	prices *priceCache
-	remaps *remapCache
-	// shared is the run's view of the injected SharedCache (nil when
-	// none, or with Options.NoCache).
+	prices *memo[cacheKey, priced]
+	remaps *memo[cacheKey, float64]
+	// keys holds the run's cacheKey contexts (zero without a shared
+	// cache or store: a per-run memo needs no context).
+	keys sharedKeys
+	// shared is the run's view of the injected SharedCache (L2; nil
+	// when none, or with Options.NoCache).
 	shared *sharedLayer
 	// store is the run's view of the on-disk artifact store (nil when
 	// no StoreDir/Store, or with Options.NoCache).
@@ -398,6 +399,15 @@ type Input struct {
 	Unit *fortran.Unit
 }
 
+// begin opens every driver: a nil context means Background, and the
+// clock Options.Timeout runs against starts here.
+func begin(ctx context.Context) (context.Context, time.Time) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return ctx, time.Now()
+}
+
 // Analyze runs the complete framework: option validation and
 // defaulting, parsing (when the input is source), phase partitioning,
 // search space construction, candidate pricing and layout selection.
@@ -412,29 +422,17 @@ type Input struct {
 func Analyze(ctx context.Context, in Input, opt Options) (res *Result, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx, start := begin(ctx)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
 	tm := stage.Timings{}
-	ua, err := stageParse(in, opt, tm)
+	st, err := front(ctx, start, in, opt, nil, tm)
 	if err != nil {
 		return nil, err
 	}
-	budget := solverBudget(&opt, ctx, start)
-	da, err := stageDep(ctx, opt, ua, tm)
-	if err != nil {
-		return nil, err
-	}
-	aa, err := stageAlignSpaces(ctx, opt, budget, ua, da, tm)
-	if err != nil {
-		return nil, err
-	}
-	return backAnalyze(ctx, start, opt, budget, ua, da, aa, tm)
+	return backAnalyze(ctx, start, opt, st, tm)
 }
 
 // Reselect re-solves the final layout selection over the current
@@ -482,13 +480,15 @@ func (r *Result) InsertCandidate(phase int, l *layout.Layout, origin string) (id
 			return i, fmt.Errorf("core: phase %d already has an identical candidate (index %d)", phase, i)
 		}
 	}
-	plan, est := r.price(pr, l)
+	key := l.FullKey()
+	plan, est := r.price(pr, l, key)
 	pr.Candidates = append(pr.Candidates, &Candidate{
 		Layout:      l,
 		AlignOrigin: origin,
 		Plan:        plan,
 		Estimate:    est,
 		Cost:        est.Time * pr.Phase.Freq,
+		fullKey:     key,
 	})
 	r.spacesDirty = true
 	r.syncCacheStats()
@@ -534,14 +534,10 @@ func (r *Result) EvaluatePinned(pick func(pr *PhaseResult) int) (float64, []int,
 		total += pr.Candidates[i].Cost
 	}
 	for _, e := range r.PCFG.Edges {
-		from := r.Phases[e.From].Candidates[choice[e.From]].Layout
-		to := r.Phases[e.To].Candidates[choice[e.To]].Layout
+		from := r.Phases[e.From].Candidates[choice[e.From]]
+		to := r.Phases[e.To].Candidates[choice[e.To]]
 		names := liveNames(r.LiveIn[e.To])
-		var fk, tk string
-		if r.remaps != nil {
-			fk, tk = from.FullKey(), to.FullKey()
-		}
-		total += r.remapCost(from, to, fk, tk, names, joinNames(names)) * e.Freq
+		total += r.remapCost(from.Layout, to.Layout, from.fullKey, to.fullKey, names, joinNames(names)) * e.Freq
 	}
 	return total, choice, nil
 }

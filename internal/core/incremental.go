@@ -3,10 +3,10 @@ package core
 // Incremental re-analysis (Session.Update): per-phase artifact keys
 // let an edit to one phase replay only the artifacts downstream of
 // that phase.  This file holds the pieces the Update path threads
-// through the stage functions — the replay/reuse accounting, the
-// alignment-resolution memo, and the invalidation DAG over artifact
-// keys that specifies (and lets tests verify) exactly which artifacts
-// an edit may replay.
+// through the stage functions — the replay/reuse accounting and the
+// alignment-resolution memo.  (The invalidation DAG over artifact keys
+// that specifies exactly which artifacts an edit may replay is a test
+// oracle; it lives in incremental_test.go.)
 //
 // Reuse is never trust: a previous-run artifact is served only when
 // its content key re-derives identically from the *new* source, memo
@@ -17,11 +17,8 @@ package core
 // assert the run replays instead of serving poison.
 
 import (
-	"strconv"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/align"
 	"repro/internal/artifact"
 	"repro/internal/cag"
 	"repro/internal/fault"
@@ -71,10 +68,9 @@ func (s *IncrementalSummary) Add(o IncrementalSummary) {
 		replayed += sr.Replayed
 		reused += sr.Reused
 	}
+	s.ReuseRatio = 0
 	if reused+replayed > 0 {
 		s.ReuseRatio = float64(reused) / float64(reused+replayed)
-	} else {
-		s.ReuseRatio = 0
 	}
 }
 
@@ -88,13 +84,15 @@ type frontState struct {
 	front stage.Timings
 }
 
-// incrementalRun is the per-Update context threaded through the stage
-// functions via Options.inc.  A nil receiver is valid everywhere (the
-// cold path) and disables all incremental behaviour.
+// incrementalRun is the session's context for one front-half run,
+// passed to front and the stage functions: the previous snapshot to
+// reuse from (nil in NewSession), the alignment memo (nil when the run
+// is not memo-eligible) and the replay/reuse counters.  A nil receiver
+// is valid everywhere (the cold path) and disables all incremental
+// behaviour.
 type incrementalRun struct {
-	prev  *frontState
-	fault *fault.Plan
-	memo  *sessionMemo
+	prev *frontState
+	memo *memo[string, *cag.Resolution]
 
 	mu     sync.Mutex
 	stages map[string]StageReuse
@@ -104,10 +102,7 @@ type incrementalRun struct {
 // keys are comparable to the current run's (same declaration context);
 // nil disables dep-level reuse.
 func (inc *incrementalRun) prevDep(decls artifact.Key) *depArtifact {
-	if inc == nil || inc.prev == nil {
-		return nil
-	}
-	if inc.prev.dep == nil || inc.prev.dep.declsKey != decls {
+	if inc == nil || inc.prev == nil || inc.prev.dep.declsKey != decls {
 		return nil
 	}
 	return inc.prev.dep
@@ -145,14 +140,23 @@ func (inc *incrementalRun) count(st string, replayed, reused int64) {
 	inc.stages[st] = cur
 }
 
-// alignMemo exposes the session's alignment-resolution memo to
-// stageAlignSpaces (nil when the update is not memo-eligible).
-func (inc *incrementalRun) alignMemo() align.Memo {
-	if inc == nil || inc.memo == nil {
-		return nil
+// alignMemo adapts the session's resolution memo to align.Memo for one
+// run, booking every lookup as an align-solve reuse (hit) or replay
+// (miss).  Stored resolutions are proven optimal and immutable by
+// contract (align treats them as read-only).
+type alignMemo struct{ inc *incrementalRun }
+
+func (m alignMemo) GetResolution(key string) (*cag.Resolution, bool) {
+	res, ok := m.inc.memo.get(key)
+	if ok {
+		m.inc.count(stage.AlignSolve, 0, 1)
+	} else {
+		m.inc.count(stage.AlignSolve, 1, 0)
 	}
-	return inc.memo
+	return res, ok
 }
+
+func (m alignMemo) PutResolution(key string, res *cag.Resolution) { m.inc.memo.put(key, res) }
 
 // finish derives the back-half counters from the run's cache traffic
 // and stamps the summary onto the Result.  Pricing and selection reuse
@@ -167,154 +171,8 @@ func (inc *incrementalRun) finish(res *Result, edits int64) {
 	inc.count(stage.Pricing, cs.SharedPricing.Misses, cs.SharedPricing.Hits)
 	inc.count(stage.Selection, cs.SharedSelection.Misses, cs.SharedSelection.Hits)
 	inc.mu.Lock()
-	stages := make(map[string]StageReuse, len(inc.stages))
-	for k, v := range inc.stages {
-		stages[k] = v
-	}
+	var sum IncrementalSummary
+	sum.Add(IncrementalSummary{Edits: edits, Stages: inc.stages})
 	inc.mu.Unlock()
-	sum := IncrementalSummary{Stages: stages}
-	var replayed, reused int64
-	for _, sr := range stages {
-		replayed += sr.Replayed
-		reused += sr.Reused
-	}
-	if reused+replayed > 0 {
-		sum.ReuseRatio = float64(reused) / float64(reused+replayed)
-	}
-	sum.Edits = edits
 	res.Incremental = sum
-}
-
-// sessionMemo is the session-owned align.Memo: a content-keyed map of
-// proven-optimal 0-1 alignment resolutions surviving across edits.
-// Stored resolutions are immutable by contract (align treats them as
-// read-only); hit/miss counters feed the AlignSolve replay/reuse
-// accounting.
-type sessionMemo struct {
-	mu  sync.Mutex
-	res map[string]*cag.Resolution
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	// last taken snapshot, so each Update reports its own delta.
-	lastHits, lastMisses int64
-}
-
-func newSessionMemo() *sessionMemo {
-	return &sessionMemo{res: map[string]*cag.Resolution{}}
-}
-
-func (m *sessionMemo) GetResolution(key string) (*cag.Resolution, bool) {
-	m.mu.Lock()
-	r, ok := m.res[key]
-	m.mu.Unlock()
-	if !ok {
-		m.misses.Add(1)
-		return nil, false
-	}
-	m.hits.Add(1)
-	return r, true
-}
-
-func (m *sessionMemo) PutResolution(key string, res *cag.Resolution) {
-	m.mu.Lock()
-	m.res[key] = res
-	m.mu.Unlock()
-}
-
-// takeDelta reports the hits/misses since the previous call (Update
-// holds the session lock, so deltas attribute to exactly one edit).
-func (m *sessionMemo) takeDelta() (hits, misses int64) {
-	h, ms := m.hits.Load(), m.misses.Load()
-	hits, misses = h-m.lastHits, ms-m.lastMisses
-	m.lastHits, m.lastMisses = h, ms
-	return hits, misses
-}
-
-// invalidationDAG is the dependency DAG over artifact keys that
-// specifies which artifacts an edit may replay.  Nodes are named
-//
-//	decls, phase/i, dep/i, dep, align, space/i, pricing/i, selection
-//
-// with edges decls→phase/i, phase/i→dep/i, dep/i→{dep, pricing/i},
-// dep→align, align→space/i, space/i→pricing/i, pricing/i→selection.
-// Everything reachable from a changed node is invalid and must replay;
-// everything else may be reused.  Update builds it from the previous
-// and current dep artifacts; the property tests assert the replay
-// counters match the DAG's reach set exactly.
-type invalidationDAG struct {
-	keys    map[string]artifact.Key // node → content key (current run)
-	down    map[string][]string     // node → downstream dependents
-	changed []string                // nodes whose key differs from the previous run
-}
-
-// buildInvalidationDAG constructs the DAG for the current dep artifact
-// and marks changed every node whose key is absent from (or differs in)
-// the previous one.
-func buildInvalidationDAG(prev, cur *depArtifact) *invalidationDAG {
-	d := &invalidationDAG{keys: map[string]artifact.Key{}, down: map[string][]string{}}
-	edge := func(from, to string) { d.down[from] = append(d.down[from], to) }
-	node := func(name string, k artifact.Key) { d.keys[name] = k }
-
-	node("decls", cur.declsKey)
-	node("dep", cur.key)
-	edge("dep", "align")
-	for i := range cur.phaseKeys {
-		ph, dp := phaseNode(i), depNode(i)
-		node(ph, cur.phaseKeys[i])
-		node(dp, cur.depKeys[i])
-		edge("decls", ph)
-		edge(ph, dp)
-		edge(dp, "dep")
-		edge(dp, pricingNode(i))
-		edge("align", spaceNode(i))
-		edge(spaceNode(i), pricingNode(i))
-		edge(pricingNode(i), "selection")
-	}
-
-	prevKeys := map[artifact.Key]bool{}
-	if prev != nil {
-		prevKeys[prev.declsKey] = true
-		prevKeys[prev.key] = true
-		for i := range prev.phaseKeys {
-			prevKeys[prev.phaseKeys[i]] = true
-			prevKeys[prev.depKeys[i]] = true
-		}
-	}
-	for name, k := range d.keys {
-		if !prevKeys[k] {
-			d.changed = append(d.changed, name)
-		}
-	}
-	return d
-}
-
-func phaseNode(i int) string   { return "phase/" + strconv.Itoa(i) }
-func depNode(i int) string     { return "dep-info/" + strconv.Itoa(i) }
-func spaceNode(i int) string   { return "space/" + strconv.Itoa(i) }
-func pricingNode(i int) string { return "pricing/" + strconv.Itoa(i) }
-
-// reach returns every node reachable from the given starts (inclusive).
-func (d *invalidationDAG) reach(starts []string) map[string]bool {
-	out := map[string]bool{}
-	var walk func(n string)
-	walk = func(n string) {
-		if out[n] {
-			return
-		}
-		out[n] = true
-		for _, m := range d.down[n] {
-			walk(m)
-		}
-	}
-	for _, s := range starts {
-		walk(s)
-	}
-	return out
-}
-
-// invalid is the replay specification: everything reachable from a
-// changed node.
-func (d *invalidationDAG) invalid() map[string]bool {
-	return d.reach(d.changed)
 }

@@ -4,13 +4,103 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/fault"
 	"repro/internal/pcfg"
 	"repro/internal/stage"
 )
+
+// invalidationDAG is the dependency DAG over artifact keys that
+// specifies which artifacts an edit may replay.  Nodes are named
+//
+//	decls, phase/i, dep/i, dep, align, space/i, pricing/i, selection
+//
+// with edges decls→phase/i, phase/i→dep/i, dep/i→{dep, pricing/i},
+// dep→align, align→space/i, space/i→pricing/i, pricing/i→selection.
+// Everything reachable from a changed node is invalid and must replay;
+// everything else may be reused.  It is the tests' oracle: they build
+// it from a session's previous and current dep artifacts and assert the
+// replay counters match the DAG's reach set exactly.
+type invalidationDAG struct {
+	keys    map[string]artifact.Key // node → content key (current run)
+	down    map[string][]string     // node → downstream dependents
+	changed []string                // nodes whose key differs from the previous run
+}
+
+// buildInvalidationDAG constructs the DAG for the current dep artifact
+// and marks changed every node whose key is absent from (or differs in)
+// the previous one.
+func buildInvalidationDAG(prev, cur *depArtifact) *invalidationDAG {
+	d := &invalidationDAG{keys: map[string]artifact.Key{}, down: map[string][]string{}}
+	edge := func(from, to string) { d.down[from] = append(d.down[from], to) }
+	node := func(name string, k artifact.Key) { d.keys[name] = k }
+
+	node("decls", cur.declsKey)
+	node("dep", cur.key)
+	edge("dep", "align")
+	for i := range cur.phaseKeys {
+		ph, dp := phaseNode(i), depNode(i)
+		node(ph, cur.phaseKeys[i])
+		node(dp, cur.depKeys[i])
+		edge("decls", ph)
+		edge(ph, dp)
+		edge(dp, "dep")
+		edge(dp, pricingNode(i))
+		edge("align", spaceNode(i))
+		edge(spaceNode(i), pricingNode(i))
+		edge(pricingNode(i), "selection")
+	}
+
+	prevKeys := map[artifact.Key]bool{}
+	if prev != nil {
+		prevKeys[prev.declsKey] = true
+		prevKeys[prev.key] = true
+		for i := range prev.phaseKeys {
+			prevKeys[prev.phaseKeys[i]] = true
+			prevKeys[prev.depKeys[i]] = true
+		}
+	}
+	for name, k := range d.keys {
+		if !prevKeys[k] {
+			d.changed = append(d.changed, name)
+		}
+	}
+	return d
+}
+
+func phaseNode(i int) string   { return "phase/" + strconv.Itoa(i) }
+func depNode(i int) string     { return "dep-info/" + strconv.Itoa(i) }
+func spaceNode(i int) string   { return "space/" + strconv.Itoa(i) }
+func pricingNode(i int) string { return "pricing/" + strconv.Itoa(i) }
+
+// reach returns every node reachable from the given starts (inclusive).
+func (d *invalidationDAG) reach(starts []string) map[string]bool {
+	out := map[string]bool{}
+	var walk func(n string)
+	walk = func(n string) {
+		if out[n] {
+			return
+		}
+		out[n] = true
+		for _, m := range d.down[n] {
+			walk(m)
+		}
+	}
+	for _, s := range starts {
+		walk(s)
+	}
+	return out
+}
+
+// invalid is the replay specification: everything reachable from a
+// changed node.
+func (d *invalidationDAG) invalid() map[string]bool {
+	return d.reach(d.changed)
+}
 
 // threePhases is a program whose three loop nests are distinct, so a
 // one-phase edit has an unambiguous blast radius.
@@ -92,6 +182,7 @@ func TestUpdateReplaysOnlyEditedPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := sess.snapshot().dep
 	res, err := sess.Update(ctx, editPhase1(threePhases), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +195,7 @@ func TestUpdateReplaysOnlyEditedPhase(t *testing.T) {
 		t.Errorf("reuse ratio = %v, want > 0", res.Incremental.ReuseRatio)
 	}
 	// The DAG agrees: exactly one phase/i (and its dep-info) invalid.
-	dag := sess.lastDAG
-	if dag == nil {
-		t.Fatal("no invalidation DAG recorded")
-	}
-	invalid := dag.invalid()
+	invalid := buildInvalidationDAG(before, sess.snapshot().dep).invalid()
 	var depInvalid int
 	for i := 0; i < 3; i++ {
 		if invalid[depNode(i)] {
@@ -141,6 +228,7 @@ func TestUpdateUnchangedSourceReusesEverything(t *testing.T) {
 	if _, err := sess.Update(ctx, threePhases, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	before := sess.snapshot().dep
 	res, err := sess.Update(ctx, threePhases, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +245,8 @@ func TestUpdateUnchangedSourceReusesEverything(t *testing.T) {
 	if sel.Reused != 1 {
 		t.Errorf("selection reuse = %+v, want 1 reused", sel)
 	}
-	if dag := sess.lastDAG; dag == nil || len(dag.changed) != 0 {
-		t.Errorf("no-op edit should leave the DAG unchanged, got changed=%v", sess.lastDAG.changed)
+	if dag := buildInvalidationDAG(before, sess.snapshot().dep); len(dag.changed) != 0 {
+		t.Errorf("no-op edit should leave the DAG unchanged, got changed=%v", dag.changed)
 	}
 }
 

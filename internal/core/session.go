@@ -2,10 +2,11 @@ package core
 
 import (
 	"context"
+	"maps"
 	"sync"
-	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/cag"
 	"repro/internal/stage"
 )
 
@@ -39,13 +40,13 @@ type Session struct {
 	mu sync.Mutex  // guards st swap and all edit-carry state below
 	st *frontState // immutable snapshot of the front-half artifacts
 
-	// Edit-carry state (Update only): the alignment-resolution memo,
-	// the session-owned shared cache injected when the caller brings
-	// none, the Update counter and the last edit's invalidation DAG.
-	memo    *sessionMemo
+	// Edit-carry state: the alignment-resolution memo (seeded by
+	// NewSession, so the very first Update already reuses the unchanged
+	// phases' resolutions), the session-owned shared cache injected when
+	// the caller brings none, and the Update counter.
+	memo    memo[string, *cag.Resolution]
 	carried *SharedCache
 	edits   int64
-	lastDAG *invalidationDAG
 }
 
 // snapshot returns the current immutable front-half state.
@@ -53,6 +54,42 @@ func (s *Session) snapshot() *frontState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.st
+}
+
+// effective merges one call's options with the session's: zero Procs
+// and Machine inherit the session's values, and the front-half options
+// are pinned — the cached artifacts were derived from them, so honoring
+// different values would silently produce a result no cold run could.
+// The merged options are validated and defaulted.
+func (s *Session) effective(opt Options) (Options, error) {
+	if opt.Procs == 0 {
+		opt.Procs = s.opt.Procs
+	}
+	if opt.Machine == nil {
+		opt.Machine = s.opt.Machine
+	}
+	opt.PCFG = s.opt.PCFG
+	opt.DefaultTrip = s.opt.DefaultTrip
+	opt.Align = s.opt.Align
+	if err := opt.Validate(); err != nil {
+		return opt, err
+	}
+	return opt.withDefaults(), nil
+}
+
+// frontRun is the session's context for one front-half run over prev
+// (nil in NewSession).  The alignment memo requires a fully
+// content-determined solve, the same precondition selection reuse
+// applies: a wall-clock budget or a caller-tuned solver can change the
+// outcome, and an armed fault plan must reach the solver's injection
+// sites.  Memoization never changes a result: only proven-optimal
+// resolutions are stored, keyed by the full graph content.
+func (s *Session) frontRun(opt Options, prev *frontState) *incrementalRun {
+	inc := &incrementalRun{prev: prev}
+	if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
+		inc.memo = &s.memo
+	}
+	return inc
 }
 
 // NewSession runs the front half of the pipeline once — parse,
@@ -65,40 +102,18 @@ func (s *Session) snapshot() *frontState {
 func NewSession(ctx context.Context, in Input, opt Options) (s *Session, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opt.Validate(); err != nil {
+	ctx, start := begin(ctx)
+	// A session's own options are the effective ones relative to
+	// themselves: nothing to inherit, only validation and defaults.
+	sess := &Session{opt: opt}
+	if sess.opt, err = sess.effective(opt); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
-	// Seed the alignment memo from the initial build (when the solves
-	// are content-determined), so the very first Update already reuses
-	// the unchanged phases' resolutions.  Memoization never changes a
-	// result: only proven-optimal resolutions are stored, keyed by the
-	// full graph content.
-	var memo *sessionMemo
-	if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
-		memo = newSessionMemo()
-		opt.inc = &incrementalRun{memo: memo}
-	}
-	tm := stage.Timings{}
-	ua, err := stageParse(in, opt, tm)
+	sess.st, err = front(ctx, start, in, sess.opt, sess.frontRun(sess.opt, nil), stage.Timings{})
 	if err != nil {
 		return nil, err
 	}
-	budget := solverBudget(&opt, ctx, start)
-	da, err := stageDep(ctx, opt, ua, tm)
-	if err != nil {
-		return nil, err
-	}
-	aa, err := stageAlignSpaces(ctx, opt, budget, ua, da, tm)
-	if err != nil {
-		return nil, err
-	}
-	opt.inc = nil
-	return &Session{opt: opt, st: &frontState{unit: ua, dep: da, align: aa, front: tm}, memo: memo}, nil
+	return sess, nil
 }
 
 // Analyze runs the machine-dependent back half — candidate search
@@ -110,34 +125,11 @@ func NewSession(ctx context.Context, in Input, opt Options) (s *Session, err err
 func (s *Session) Analyze(ctx context.Context, opt Options) (res *Result, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Procs == 0 {
-		opt.Procs = s.opt.Procs
-	}
-	if opt.Machine == nil {
-		opt.Machine = s.opt.Machine
-	}
-	// Pin the front-half options: the cached artifacts were derived
-	// from them, so honoring different values here would silently
-	// produce a result no cold run could.
-	opt.PCFG = s.opt.PCFG
-	opt.DefaultTrip = s.opt.DefaultTrip
-	opt.Align = s.opt.Align
-	if err := opt.Validate(); err != nil {
+	ctx, start := begin(ctx)
+	if opt, err = s.effective(opt); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
-	st := s.snapshot()
-	// The front half already degraded gracefully when the session was
-	// built; a Strict re-run must not silently accept that.
-	if opt.Strict && len(st.align.degs) > 0 {
-		return nil, &StrictError{Deg: st.align.degs[0]}
-	}
-	budget := solverBudget(&opt, ctx, start)
-	return backAnalyze(ctx, start, opt, budget, st.unit, st.dep, st.align, stage.Timings{})
+	return backAnalyze(ctx, start, opt, s.snapshot(), stage.Timings{})
 }
 
 // Update re-analyzes an edited version of the session's program.  It
@@ -161,81 +153,22 @@ func (s *Session) Analyze(ctx context.Context, opt Options) (res *Result, err er
 func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Result, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Procs == 0 {
-		opt.Procs = s.opt.Procs
-	}
-	if opt.Machine == nil {
-		opt.Machine = s.opt.Machine
-	}
-	opt.PCFG = s.opt.PCFG
-	opt.DefaultTrip = s.opt.DefaultTrip
-	opt.Align = s.opt.Align
-	if err := opt.Validate(); err != nil {
+	ctx, start := begin(ctx)
+	if opt, err = s.effective(opt); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev := s.st
-	inc := &incrementalRun{prev: prev, fault: opt.Fault}
-	opt.inc = inc
+	inc := s.frontRun(opt, s.st)
 	tm := stage.Timings{}
-	ua, err := stageParse(Input{Source: src}, opt, tm)
+	st, err := front(ctx, start, Input{Source: src}, opt, inc, tm)
 	if err != nil {
 		return nil, err
 	}
-	// Parsing is how an edit is detected, so it always replays.
-	inc.count(stage.Parse, 1, 0)
-	budget := solverBudget(&opt, ctx, start)
-	var st *frontState
-	if ua.key == prev.unit.key {
-		// Observably unchanged source: the whole front half is current.
-		st = prev
-		inc.count(stage.Dep, 0, int64(len(prev.dep.graph.Phases)))
-		inc.count(stage.AlignSolve, 0, int64(len(prev.align.spaces.Stats)))
-		s.lastDAG = buildInvalidationDAG(prev.dep, prev.dep)
-	} else {
-		// The alignment memo requires a fully content-determined solve,
-		// the same precondition selection reuse applies: a wall-clock
-		// budget or a caller-tuned solver can change the outcome, and an
-		// armed fault plan must reach the solver's injection sites.
-		if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
-			if s.memo == nil {
-				s.memo = newSessionMemo()
-			}
-			s.memo.takeDelta() // discard traffic attributed to earlier edits
-			inc.memo = s.memo
-		}
-		da, derr := stageDep(ctx, opt, ua, tm)
-		if derr != nil {
-			return nil, derr
-		}
-		s.lastDAG = buildInvalidationDAG(prev.dep, da)
-		aa, aerr := stageAlignSpaces(ctx, opt, budget, ua, da, tm)
-		if aerr != nil {
-			return nil, aerr
-		}
+	if st != s.st {
 		// Snapshot the front timings before backAnalyze keeps adding
 		// back-half stages to the same map.
-		front := stage.Timings{}
-		for k, v := range tm {
-			front[k] = v
-		}
-		st = &frontState{unit: ua, dep: da, align: aa, front: front}
-		if inc.memo != nil {
-			hits, misses := inc.memo.takeDelta()
-			inc.count(stage.AlignSolve, misses, hits)
-		} else {
-			inc.count(stage.AlignSolve, int64(len(aa.spaces.Stats)), 0)
-		}
-	}
-	if opt.Strict && len(st.align.degs) > 0 {
-		return nil, &StrictError{Deg: st.align.degs[0]}
+		st.front = maps.Clone(tm)
 	}
 	// Carry the session's shared cache across edits when the caller
 	// brings none, so unchanged phases' pricings, remap costs and the
@@ -246,16 +179,13 @@ func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Res
 		}
 		opt.Cache = s.carried
 	}
-	res, err = backAnalyze(ctx, start, opt, budget, st.unit, st.dep, st.align, tm)
+	res, err = backAnalyze(ctx, start, opt, st, tm)
 	if err != nil {
 		return nil, err
 	}
 	s.st = st
 	s.edits++
 	inc.finish(res, s.edits)
-	// Detach the update context: the session's counters must not leak
-	// into later Reselect calls on the Result.
-	res.opt.inc = nil
 	return res, nil
 }
 

@@ -3,19 +3,61 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/fortran"
 	"repro/internal/machine"
+	"repro/internal/programs"
 	"repro/internal/stage"
 )
+
+// goldenSources returns the 7 programs of the root golden corpus
+// (golden_test.go), the fixed inputs the benchmark's cold rows run.
+func goldenSources(t *testing.T) map[string]string {
+	t.Helper()
+	read := func(path ...string) string {
+		b, err := os.ReadFile(filepath.Join(append([]string{"..", ".."}, path...)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	example := func(dir string) string {
+		m := regexp.MustCompile("(?s)const src = `\n(.*?)`").FindStringSubmatch(read("examples", dir, "main.go"))
+		if m == nil {
+			t.Fatalf("examples/%s/main.go has no `const src` block", dir)
+		}
+		return m[1]
+	}
+	return map[string]string{
+		"adi":        programs.Adi(48, fortran.Double),
+		"erlebacher": programs.Erlebacher(16, fortran.Double),
+		"tomcatv":    programs.Tomcatv(32, fortran.Double),
+		"shallow":    programs.Shallow(32, fortran.Real),
+		"adi128":     read("testdata", "adi128.f"),
+		"quickstart": example("quickstart"),
+		"conflict":   example("conflict"),
+	}
+}
 
 // TestSessionMatchesColdAnalyze: the tentpole contract.  Re-running the
 // back half over a Session's cached front half must produce
 // byte-identical results to a cold Analyze with the same options, for
-// every (machine, procs, workers) point of a sweep.
+// every (machine, procs, workers) point of a sweep.  And the three ways
+// into the pipeline — cold Analyze, NewSession + Session.Analyze,
+// NewSession + Update of the same source — share one front-half driver
+// and one tier walk, so on every golden program they agree on the
+// answer and on the number of distinct pricings and remaps evaluated
+// (the per-run miss counters the benchmark's replay is checked against;
+// sequential, because concurrent workers may both miss one key).
 func TestSessionMatchesColdAnalyze(t *testing.T) {
-	sess, err := NewSession(context.Background(), Input{Source: adiSmall}, Options{Procs: 4})
+	ctx := context.Background()
+	sess, err := NewSession(ctx, Input{Source: adiSmall}, Options{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +66,11 @@ func TestSessionMatchesColdAnalyze(t *testing.T) {
 		for _, procs := range []int{4, 16} {
 			for _, workers := range []int{1, 8} {
 				opt := Options{Procs: procs, Machine: m, Workers: workers}
-				cold, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
+				cold, err := Analyze(ctx, Input{Source: adiSmall}, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				warm, err := sess.Analyze(context.Background(), opt)
+				warm, err := sess.Analyze(ctx, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,6 +81,38 @@ func TestSessionMatchesColdAnalyze(t *testing.T) {
 				if cold.TotalCost != warm.TotalCost {
 					t.Fatalf("cost drift: cold %v, warm %v", cold.TotalCost, warm.TotalCost)
 				}
+			}
+		}
+	}
+	for name, src := range goldenSources(t) {
+		opt := Options{Procs: 8, Workers: 1}
+		cold, err := Analyze(ctx, Input{Source: src}, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sess, err := NewSession(ctx, Input{Source: src}, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		warm, err := sess.Analyze(ctx, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		updated, err := sess.Update(ctx, src, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for driver, res := range map[string]*Result{"Session.Analyze": warm, "Session.Update": updated} {
+			if !slices.Equal(res.Selection.Choice, cold.Selection.Choice) || res.TotalCost != cold.TotalCost {
+				t.Errorf("%s: %s chose %v at %v, cold Analyze %v at %v", name, driver,
+					res.Selection.Choice, res.TotalCost, cold.Selection.Choice, cold.TotalCost)
+			}
+			if res.EmitHPF() != cold.EmitHPF() {
+				t.Errorf("%s: %s emits different HPF than cold Analyze", name, driver)
+			}
+			if res.Cache.Pricing.Misses != cold.Cache.Pricing.Misses || res.Cache.Remap.Misses != cold.Cache.Remap.Misses {
+				t.Errorf("%s: %s evaluated %d pricings / %d remaps, cold Analyze %d / %d", name, driver,
+					res.Cache.Pricing.Misses, res.Cache.Remap.Misses, cold.Cache.Pricing.Misses, cold.Cache.Remap.Misses)
 			}
 		}
 	}

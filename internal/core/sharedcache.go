@@ -23,10 +23,9 @@ import (
 // methods are safe for concurrent use; the statistics counters are
 // atomic.
 type SharedCache struct {
-	shardCap  int
-	shards    [sharedShards]sharedShard
-	hits      atomic.Int64
-	misses    atomic.Int64
+	shardCap int
+	shards   [sharedShards]sharedShard
+	hitMiss
 	evictions atomic.Int64
 }
 
@@ -42,12 +41,12 @@ const DefaultSharedCapacity = 1 << 16
 
 type sharedShard struct {
 	mu  sync.Mutex
-	m   map[string]*list.Element
+	m   map[cacheKey]*list.Element
 	lru list.List // front = most recently used
 }
 
 type sharedEntry struct {
-	key string
+	key cacheKey
 	val any
 }
 
@@ -65,22 +64,26 @@ func NewSharedCache(capacity int) *SharedCache {
 	}
 	c := &SharedCache{shardCap: perShard}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]*list.Element)
+		c.shards[i].m = make(map[cacheKey]*list.Element)
 	}
 	return c
 }
 
-// shard picks the shard for a key with the FNV-1a hash of its bytes —
-// cheap, allocation-free, and the keys are already high-entropy
-// content hashes.
-func (c *SharedCache) shard(key string) *sharedShard {
+// shard picks the shard for a key with the FNV-1a hash of its parts'
+// bytes — cheap, allocation-free, and the parts are content hashes or
+// canonical renderings.  The step between parts keeps {"xy", "z"} and
+// {"x", "yz"} from landing on one hash by construction.
+func (c *SharedCache) shard(key cacheKey) *sharedShard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	var h uint64 = offset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, part := range [...]string{key.ctx, key.a, key.b, key.c} {
+		for i := 0; i < len(part); i++ {
+			h ^= uint64(part[i])
+			h *= prime64
+		}
 		h *= prime64
 	}
 	return &c.shards[h%sharedShards]
@@ -88,7 +91,7 @@ func (c *SharedCache) shard(key string) *sharedShard {
 
 // get returns the cached value for key, promoting it to most recently
 // used.  A nil cache always misses.
-func (c *SharedCache) get(key string) (any, bool) {
+func (c *SharedCache) get(key cacheKey) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -102,17 +105,13 @@ func (c *SharedCache) get(key string) (any, bool) {
 		val = el.Value.(*sharedEntry).val
 	}
 	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return val, true
+	c.count(ok)
+	return val, ok
 }
 
 // put inserts (or refreshes) a value, evicting the shard's least
 // recently used entry when the shard is full.  A nil cache ignores it.
-func (c *SharedCache) put(key string, val any) {
+func (c *SharedCache) put(key cacheKey, val any) {
 	if c == nil {
 		return
 	}
@@ -165,10 +164,7 @@ type SharedCacheStats struct {
 
 // HitRate is Hits / (Hits + Misses), or 0 before any lookup.
 func (s SharedCacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+	return CacheStats{Hits: s.Hits, Misses: s.Misses}.HitRate()
 }
 
 // Stats snapshots the cache's lifetime counters.
@@ -184,35 +180,34 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	}
 }
 
-// sharedKeys carries one run's precomputed shared-cache key prefixes:
-// the content hashes of everything a pricing (resp. remapping)
-// evaluation depends on besides the per-entry (signature, layout) pair.
-// Deriving them once per run keeps per-lookup key construction to a
-// couple of string concatenations.
+// sharedKeys carries one run's cacheKey contexts: the content hashes of
+// everything a pricing (resp. remapping) evaluation depends on besides
+// the entry's own parts, derived once per run.
 type sharedKeys struct {
 	price string // decls + machine + compiler options + default trip
 	remap string // decls + machine
 }
 
-// deriveSharedKeys computes the run's cache-key prefixes from the
-// option and input artifacts.  Key derivation (documented in DESIGN.md):
+// deriveSharedKeys computes the run's cacheKey contexts from the option
+// and input artifacts.  Key derivation (documented in DESIGN.md):
 //
 //	declsKey   = H(parameters, declarations, directives)
 //	machineKey = H(model name + serialized training tables)
 //	priceCtx   = H(declsKey, machineKey, compiler options, default trip)
 //	remapCtx   = H(declsKey, machineKey)
 //
-// and a full entry key is priceCtx ∥ phase signature ∥ layout FullKey
-// (resp. remapCtx ∥ from ∥ to ∥ live-array list).  Procs is absent by
-// design: it is fully determined by the layouts in the entry key.
+// and an entry's key is cacheKey{priceCtx, phase signature, layout
+// FullKey} (resp. cacheKey{remapCtx, from, to, live-array list}) in
+// both the per-run memo and the SharedCache.  Procs is absent by
+// design: it is fully determined by the layouts in the key.
 //
 // The context hashes the *declaration* key, not the whole-program unit
 // key: a pricing depends on the phase's statements (the signature in
-// the entry key), the symbol table (declsKey) and the machine — never
-// on the other phases' bodies.  Keying by declsKey therefore keeps
-// every unchanged phase's pricing and remap entries valid across a
-// one-phase source edit, which is what Session.Update's incremental
-// reuse of L1/L2 entries relies on.
+// the key), the symbol table (declsKey) and the machine — never on the
+// other phases' bodies.  Keying by declsKey therefore keeps every
+// unchanged phase's pricing and remap entries valid across a one-phase
+// source edit, which is what Session.Update's reuse of L2 entries
+// relies on.
 func deriveSharedKeys(declsKey artifact.Key, opt Options) sharedKeys {
 	machineKey := artifact.MachineKey(opt.Machine)
 	price := artifact.NewHasher("price-ctx").

@@ -1,44 +1,81 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 )
 
-// TestSharedCacheBasics: get/put round-trip, nil safety, stats.
-func TestSharedCacheBasics(t *testing.T) {
-	c := NewSharedCache(64)
-	if _, ok := c.get("a"); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.put("a", 1.5)
-	v, ok := c.get("a")
-	if !ok || v.(float64) != 1.5 {
-		t.Fatalf("get(a) = %v, %v", v, ok)
-	}
-	c.put("a", 2.5)
-	if v, _ := c.get("a"); v.(float64) != 2.5 {
-		t.Fatal("put did not refresh existing entry")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if got := st.HitRate(); got < 0.66 || got > 0.67 {
-		t.Fatalf("hit rate = %v", got)
-	}
+// tierCache is what both memoization implementations offer a cacheKey.
+type tierCache interface {
+	get(cacheKey) (any, bool)
+	put(cacheKey, any)
+}
 
-	var nilCache *SharedCache
-	if _, ok := nilCache.get("x"); ok {
-		t.Fatal("nil cache hit")
+// key builds a one-part cacheKey for tests that only need distinct keys.
+func key(s string) cacheKey { return cacheKey{a: s} }
+
+// TestSharedCacheBasics: get/put round-trip, counters and nil safety of
+// both implementations — the SharedCache (L2) and the memo behind L1
+// and the session's alignment memo — plus the struct key's guarantee
+// that part boundaries cannot collide.
+func TestSharedCacheBasics(t *testing.T) {
+	shared, l1 := NewSharedCache(64), &memo[cacheKey, any]{}
+	for _, tc := range []struct {
+		name    string
+		c, none tierCache
+		stats   func() CacheStats
+	}{
+		{"shared", shared, (*SharedCache)(nil), func() CacheStats {
+			st := shared.Stats()
+			return CacheStats{Hits: st.Hits, Misses: st.Misses}
+		}},
+		{"memo", l1, (*memo[cacheKey, any])(nil), l1.stats},
+	} {
+		c := tc.c
+		if _, ok := c.get(key("a")); ok {
+			t.Fatalf("%s: empty cache hit", tc.name)
+		}
+		c.put(key("a"), 1.5)
+		v, ok := c.get(key("a"))
+		if !ok || v.(float64) != 1.5 {
+			t.Fatalf("%s: get(a) = %v, %v", tc.name, v, ok)
+		}
+		c.put(key("a"), 2.5)
+		if v, _ := c.get(key("a")); v.(float64) != 2.5 {
+			t.Fatalf("%s: put did not refresh existing entry", tc.name)
+		}
+		if st := tc.stats(); st.Hits != 2 || st.Misses != 1 {
+			t.Fatalf("%s: stats = %+v", tc.name, st)
+		} else if got := st.HitRate(); got < 0.66 || got > 0.67 {
+			t.Fatalf("%s: hit rate = %v", tc.name, got)
+		}
+		// One concatenated string could not tell these two apart.
+		left, right := cacheKey{a: "x\x1fy", b: "z"}, cacheKey{a: "x", b: "y\x1fz"}
+		c.put(left, "left")
+		c.put(right, "right")
+		if l, _ := c.get(left); l != "left" {
+			t.Errorf("%s: %+v holds %v", tc.name, left, l)
+		}
+		if r, _ := c.get(right); r != "right" {
+			t.Errorf("%s: %+v holds %v", tc.name, right, r)
+		}
+
+		if _, ok := tc.none.get(key("x")); ok {
+			t.Fatalf("%s: nil cache hit", tc.name)
+		}
+		tc.none.put(key("x"), 1) // must not panic
 	}
-	nilCache.put("x", 1) // must not panic
-	if nilCache.Len() != 0 || nilCache.Stats() != (SharedCacheStats{}) {
+	if shared.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", shared.Len())
+	}
+	var none *SharedCache
+	if none.Len() != 0 || none.Stats() != (SharedCacheStats{}) {
 		t.Fatal("nil cache reports state")
+	}
+	if (*memo[cacheKey, any])(nil).stats() != (CacheStats{}) {
+		t.Fatal("nil memo reports traffic")
 	}
 }
 
@@ -51,7 +88,7 @@ func TestSharedCacheBounded(t *testing.T) {
 	// The per-shard bound rounds the total up to a shard multiple.
 	maxEntries := ((capacity + sharedShards - 1) / sharedShards) * sharedShards
 	for i := 0; i < 10*capacity; i++ {
-		c.put(fmt.Sprintf("key-%d", i), i)
+		c.put(key(fmt.Sprintf("key-%d", i)), i)
 	}
 	if got := c.Len(); got > maxEntries {
 		t.Fatalf("cache grew to %d entries, bound is %d", got, maxEntries)
@@ -70,10 +107,10 @@ func TestSharedCacheBounded(t *testing.T) {
 func TestSharedCacheLRUOrder(t *testing.T) {
 	c := NewSharedCache(sharedShards) // one entry per shard
 	// Find three keys landing in the same shard.
-	shard0 := c.shard("seed")
-	var same []string
+	shard0 := c.shard(key("seed"))
+	var same []cacheKey
 	for i := 0; len(same) < 2; i++ {
-		k := fmt.Sprintf("k%d", i)
+		k := key(fmt.Sprintf("k%d", i))
 		if c.shard(k) == shard0 {
 			same = append(same, k)
 		}
@@ -88,29 +125,66 @@ func TestSharedCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestSharedCacheConcurrent hammers one cache from many goroutines
-// with overlapping keys (meaningful under -race); the invariant is no
-// race, no panic, and every observed value matches its key.
+// TestSharedCacheConcurrent hammers each implementation from many
+// goroutines with overlapping keys (meaningful under -race); the
+// invariant is no race, no panic, every observed value matches its key
+// and no lookup goes uncounted.
 func TestSharedCacheConcurrent(t *testing.T) {
-	c := NewSharedCache(256)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := fmt.Sprintf("key-%d", i%300)
-				if v, ok := c.get(k); ok && v.(string) != k {
-					t.Errorf("key %q holds value %v", k, v)
-					return
+	shared, l1 := NewSharedCache(256), &memo[cacheKey, any]{}
+	for _, c := range []tierCache{shared, l1} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					k := fmt.Sprintf("key-%d", i%300)
+					if v, ok := c.get(key(k)); ok && v.(string) != k {
+						t.Errorf("key %q holds value %v", k, v)
+						return
+					}
+					c.put(key(k), k)
 				}
-				c.put(k, k)
-			}
-		}(g)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Hits+st.Misses != 8*2000 {
-		t.Errorf("lookup counters lost updates: hits %d + misses %d != %d", st.Hits, st.Misses, 8*2000)
+	if st := shared.Stats(); st.Hits+st.Misses != 8*2000 {
+		t.Errorf("shared lookup counters lost updates: hits %d + misses %d != %d", st.Hits, st.Misses, 8*2000)
+	}
+	if st := l1.stats(); st.Hits+st.Misses != 8*2000 {
+		t.Errorf("memo lookup counters lost updates: hits %d + misses %d != %d", st.Hits, st.Misses, 8*2000)
+	}
+}
+
+// TestCacheHitsAllocateNothing pins the struct key's point: a remapCost
+// served by L1, and building a key plus the SharedCache lookup on an L2
+// hit, allocate nothing.
+func TestCacheHitsAllocateNothing(t *testing.T) {
+	shared := NewSharedCache(0)
+	res, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 4, Cache: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.PCFG.Edges[0]
+	from, to := res.Phases[e.From].ChosenLayout(), res.Phases[e.To].ChosenLayout()
+	fk, tk := from.FullKey(), to.FullKey()
+	names := liveNames(res.LiveIn[e.To])
+	joined := joinNames(names)
+	before := res.remaps.stats()
+	if n := testing.AllocsPerRun(100, func() { res.remapCost(from, to, fk, tk, names, joined) }); n != 0 {
+		t.Errorf("remapCost on an L1 hit allocates %v times", n)
+	}
+	if after := res.remaps.stats(); after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("the pinned remapCost calls were not L1 hits: %+v -> %+v", before, after)
+	}
+	hits := shared.Stats().Hits
+	if n := testing.AllocsPerRun(100, func() {
+		shared.get(cacheKey{ctx: res.keys.remap, a: fk, b: tk, c: joined})
+	}); n != 0 {
+		t.Errorf("building a key and an L2 hit allocate %v times", n)
+	}
+	if shared.Stats().Hits == hits {
+		t.Fatal("the pinned SharedCache lookups were not hits")
 	}
 }

@@ -6,18 +6,19 @@ package core
 // selection — each consuming and producing immutable artifact values
 // carrying content-hash keys (package artifact):
 //
-//	stageParse        Input                →  unitArtifact
-//	stageDep          unitArtifact         →  depArtifact
-//	stageAlignSpaces  unit + dep           →  alignArtifact
-//	backAnalyze       unit + dep + align   →  *Result
+//	front             Input                →  frontState
+//	  stageParse        Input              →  unitArtifact
+//	  stageDep          unitArtifact       →  depArtifact
+//	  stageAlignSpaces  unit + dep         →  alignArtifact
+//	backAnalyze       frontState           →  *Result
 //	  stageCandidateSpaces (space-build)
 //	  stagePricing         (pricing)
 //	  reselect             (selection)
 //
-// The first three stages — the front half — depend only on the program
-// and the search-space options, never on the machine model or the
-// processor count; Session caches their artifacts and re-runs only
-// backAnalyze per (machine, procs) point.  Artifacts are immutable
+// The front half depends only on the program and the search-space
+// options, never on the machine model or the processor count; Session
+// caches its artifacts and re-runs only backAnalyze per (machine,
+// procs) point.  Artifacts are immutable
 // after their stage returns (extendAlignment runs inside
 // stageAlignSpaces, not later), so concurrent back halves may share
 // them freely.
@@ -149,10 +150,10 @@ func depGraphKey(g *pcfg.Graph, depKeys []artifact.Key) artifact.Key {
 
 // stageDep builds the PCFG and fans the per-phase dependence analysis
 // out over the worker pool into index-addressed slots.  On the
-// incremental path (opt.inc non-nil) phases whose phase key matches
-// the previous run reuse the stored dependence info and only the
-// changed phases are re-analyzed.
-func stageDep(ctx context.Context, opt Options, ua *unitArtifact, tm stage.Timings) (*depArtifact, error) {
+// incremental path (inc carries a previous snapshot) phases whose phase
+// key matches the previous run reuse the stored dependence info and
+// only the changed phases are re-analyzed.
+func stageDep(ctx context.Context, opt Options, ua *unitArtifact, inc *incrementalRun, tm stage.Timings) (*depArtifact, error) {
 	defer timed(tm, stage.Dep)()
 	g, err := pcfg.Build(ua.unit, opt.PCFG)
 	if err != nil {
@@ -167,19 +168,19 @@ func stageDep(ctx context.Context, opt Options, ua *unitArtifact, tm stage.Timin
 	}
 	infoSlots := make([]*dep.PhaseInfo, n)
 	todo := make([]int, 0, n)
-	if prev := opt.inc.prevDep(ua.decls); prev != nil {
+	if prev := inc.prevDep(ua.decls); prev != nil {
 		byKey := make(map[artifact.Key]*dep.PhaseInfo, len(prev.phaseKeys))
 		for j, pk := range prev.phaseKeys {
 			byKey[pk] = prev.infos[prev.graph.Phases[j].ID]
 		}
 		for i := range g.Phases {
-			if info := byKey[phaseKeys[i]]; info != nil && opt.inc.admitReuse(opt.Fault) {
+			if info := byKey[phaseKeys[i]]; info != nil && inc.admitReuse(opt.Fault) {
 				infoSlots[i] = info
 				continue
 			}
 			todo = append(todo, i)
 		}
-		opt.inc.count(stage.Dep, int64(len(todo)), int64(n-len(todo)))
+		inc.count(stage.Dep, int64(len(todo)), int64(n-len(todo)))
 	} else {
 		for i := 0; i < n; i++ {
 			todo = append(todo, i)
@@ -216,7 +217,7 @@ func stageDep(ctx context.Context, opt Options, ua *unitArtifact, tm stage.Timin
 // happen lazily inside the space-build fan-out; doing it here, once and
 // sequentially, freezes the artifact so concurrent Session re-runs can
 // share it without synchronization.
-func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *unitArtifact, da *depArtifact, tm stage.Timings) (*alignArtifact, error) {
+func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *unitArtifact, da *depArtifact, inc *incrementalRun, tm stage.Timings) (*alignArtifact, error) {
 	defer timed(tm, stage.AlignSolve)()
 	alignOpt := opt.Align
 	if alignOpt.Solver == nil {
@@ -227,8 +228,9 @@ func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *
 	}
 	alignOpt.Fault = opt.Fault
 	alignOpt.Verify = opt.Verify.enabled()
-	if m := opt.inc.alignMemo(); m != nil {
-		alignOpt.Memo = m
+	memoized := inc != nil && inc.memo != nil
+	if memoized {
+		alignOpt.Memo = alignMemo{inc}
 	}
 	spaces, err := align.BuildSearchSpaces(ctx, ua.unit, da.graph, da.infos, alignOpt)
 	if err != nil {
@@ -236,6 +238,9 @@ func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("core: canceled during %s: %w", stage.AlignSolve, cerr)
+	}
+	if !memoized {
+		inc.count(stage.AlignSolve, int64(len(spaces.Stats)), 0)
 	}
 	var degs []Degradation
 	for _, d := range spaces.Degradations {
@@ -265,11 +270,44 @@ func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *
 	return &alignArtifact{spaces: spaces, degs: degs, key: key}, nil
 }
 
+// front runs the machine-independent front half — parse → dep →
+// align-solve — for every driver: Analyze (inc nil), NewSession (inc
+// carries only the alignment memo) and Session.Update (inc also carries
+// the previous snapshot, which is returned as is when the source is
+// observably unchanged).
+func front(ctx context.Context, start time.Time, in Input, opt Options, inc *incrementalRun, tm stage.Timings) (*frontState, error) {
+	ua, err := stageParse(in, opt, tm)
+	if err != nil {
+		return nil, err
+	}
+	// Parsing is how an edit is detected, so it always replays.
+	inc.count(stage.Parse, 1, 0)
+	if inc != nil && inc.prev != nil && ua.key == inc.prev.unit.key {
+		inc.count(stage.Dep, 0, int64(len(inc.prev.dep.graph.Phases)))
+		inc.count(stage.AlignSolve, 0, int64(len(inc.prev.align.spaces.Stats)))
+		return inc.prev, nil
+	}
+	da, err := stageDep(ctx, opt, ua, inc, tm)
+	if err != nil {
+		return nil, err
+	}
+	aa, err := stageAlignSpaces(ctx, opt, solverBudget(&opt, ctx, start), ua, da, inc, tm)
+	if err != nil {
+		return nil, err
+	}
+	return &frontState{unit: ua, dep: da, align: aa, front: tm}, nil
+}
+
 // backAnalyze is the machine-dependent back half of the pipeline:
-// candidate search spaces, pricing, liveness and selection over the
-// front half's artifacts.  Analyze calls it right after building the
-// front half; Session.Analyze calls it with cached artifacts.
-func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.Solver, ua *unitArtifact, da *depArtifact, aa *alignArtifact, tm stage.Timings) (*Result, error) {
+// candidate search spaces, pricing, liveness and selection over a
+// front-half snapshot — fresh from front, or a Session's cached one.
+func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontState, tm stage.Timings) (*Result, error) {
+	ua, da, aa := st.unit, st.dep, st.align
+	// A cached front half degraded gracefully when it was built; a
+	// Strict re-run must not silently accept that.
+	if opt.Strict && len(aa.degs) > 0 {
+		return nil, &StrictError{Deg: aa.degs[0]}
+	}
 	res := &Result{
 		Unit:       ua.unit,
 		PCFG:       da.graph,
@@ -285,15 +323,17 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.
 		},
 		opt:       opt,
 		alignDegs: aa.degs,
-		prices:    newPriceCache(opt.NoCache),
-		remaps:    newRemapCache(opt.NoCache),
+	}
+	if !opt.NoCache {
+		res.prices = &memo[cacheKey, priced]{}
+		res.remaps = &memo[cacheKey, float64]{}
 	}
 	useShared := opt.Cache != nil && !opt.NoCache
 	useStore := (opt.Store != nil || opt.StoreDir != "") && !opt.NoCache
 	if useShared || useStore {
-		keys := deriveSharedKeys(ua.decls, opt)
+		res.keys = deriveSharedKeys(ua.decls, opt)
 		if useShared {
-			res.shared = &sharedLayer{cache: opt.Cache, keys: keys}
+			res.shared = &sharedLayer{cache: opt.Cache}
 		}
 		if useStore {
 			res.store = newStoreLayer(opt)
@@ -308,8 +348,8 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.
 			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
-				Str(keys.price).
-				Str(keys.remap).
+				Str(res.keys.price).
+				Str(res.keys.remap).
 				Int(opt.Procs).
 				Bool(opt.Cyclic).
 				Bool(opt.MultiDim).
@@ -325,7 +365,7 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, budget *ilp.
 		return nil, err
 	}
 	res.LiveIn = liveness(da.graph, da.infos)
-	if err := res.reselect(ctx, budget); err != nil {
+	if err := res.reselect(ctx, solverBudget(&opt, ctx, start)); err != nil {
 		return nil, err
 	}
 	// The final certificate: with verification on, re-derive the
@@ -361,7 +401,7 @@ func stageCandidateSpaces(ctx context.Context, opt Options, ua *unitArtifact, da
 			Phase:      ph,
 			Info:       da.infos[ph.ID],
 			DataType:   phaseType(ua.unit, ph),
-			sig:        fortran.PrintStmts(ph.Stmts()),
+			sig:        da.sigs[i],
 			Candidates: make([]*Candidate, len(space)),
 		}
 		for j, pl := range space {
@@ -395,7 +435,8 @@ func stagePricing(ctx context.Context, opt Options, res *Result, tm stage.Timing
 		j := jobs[i]
 		pr := res.Phases[j.p]
 		cand := pr.Candidates[j.c]
-		cand.Plan, cand.Estimate = res.price(pr, cand.Layout)
+		cand.fullKey = cand.Layout.FullKey()
+		cand.Plan, cand.Estimate = res.price(pr, cand.Layout, cand.fullKey)
 		cand.Cost = opt.Fault.Corrupt(stage.Pricing, cand.Estimate.Time*pr.Phase.Freq)
 		return nil
 	}); err != nil {
@@ -492,25 +533,6 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 			lg.NodeCost[p][i] = c.Cost
 		}
 	}
-	// Precompute each candidate layout's cache key once: the edge
-	// matrices look every layout up O(edges × candidates) times, and
-	// building the key is comparable in cost to the pricing it saves.
-	var keys [][]string
-	if r.remaps != nil {
-		keys = make([][]string, len(r.Phases))
-		for p, pr := range r.Phases {
-			keys[p] = make([]string, len(pr.Candidates))
-			for i, c := range pr.Candidates {
-				keys[p][i] = c.Layout.FullKey()
-			}
-		}
-	}
-	key := func(p, i int) string {
-		if keys == nil {
-			return ""
-		}
-		return keys[p][i]
-	}
 	if n := len(r.PCFG.Edges); n > 0 {
 		edges := make([]*layoutgraph.Edge, n)
 		if err := par.Do(ctx, par.Workers(r.opt.Workers), n, func(k int) error {
@@ -523,7 +545,7 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 			for i, ci := range from.Candidates {
 				edge.Cost[i] = make([]float64, len(to.Candidates))
 				for j, cj := range to.Candidates {
-					c := r.remapCost(ci.Layout, cj.Layout, key(e.From, i), key(e.To, j), liveArrays, joined)
+					c := r.remapCost(ci.Layout, cj.Layout, ci.fullKey, cj.fullKey, liveArrays, joined)
 					edge.Cost[i][j] = c * e.Freq
 				}
 			}
@@ -544,44 +566,14 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 	// Selection reuse: the solve is fully determined by the layout
 	// graph, which is fully determined by the content keys folded into
 	// selCtx — so an identical problem already solved under the shared
-	// cache can skip the 0-1 solve.  A reused selection still passes
-	// through CheckSelection below (against the freshly built graph),
-	// so a poisoned cache entry is caught, not served.
-	useSelCache := (r.shared != nil || r.store != nil) && r.selCtx != "" && !r.spacesDirty
+	// cache or found in the store can skip the 0-1 solve.  A reused
+	// selection still passes through CheckSelection below (against the
+	// freshly built graph), so a poisoned entry or a tampered record is
+	// caught, not served.
+	reuse := r.selCtx != "" && !r.spacesDirty
 	var sel *layoutgraph.Selection
-	if useSelCache && r.shared != nil {
-		if v, ok := r.shared.cache.get(r.selCtx); ok {
-			if saved, good := v.(layoutgraph.Selection); good {
-				cp := saved
-				cp.Choice = append([]int(nil), saved.Choice...)
-				sel = &cp
-				r.shared.selHits.Add(1)
-			}
-		}
-		if sel == nil {
-			r.shared.selMisses.Add(1)
-		}
-	}
-	if useSelCache && sel == nil && r.store != nil {
-		// L3: a selection solved by an earlier process.  It is re-verified
-		// like any other (CheckSelection below runs against the freshly
-		// built graph), so a tampered record — or the store-read Corrupt
-		// fault, which poisons the cost a disk hit serves — is caught, not
-		// served; a payload failing the codec is quarantined and solved
-		// fresh.
-		if payload, ok := r.store.get(r.selCtx); ok {
-			if saved, derr := decodeSelection(payload); derr == nil {
-				if r.shared != nil {
-					cp := saved
-					cp.Choice = append([]int(nil), saved.Choice...)
-					r.shared.cache.put(r.selCtx, cp)
-				}
-				saved.Cost = r.opt.Fault.Corrupt(stage.StoreRead, saved.Cost)
-				sel = &saved
-			} else {
-				r.store.badDecode(r.selCtx)
-			}
-		}
+	if reuse {
+		sel = r.selectionGet()
 	}
 	if sel == nil {
 		// The elimination DP answers every graph under its table cap
@@ -616,15 +608,8 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		if err != nil {
 			return pipelineErr(stage.Selection, err)
 		}
-		if useSelCache && !sel.Degraded {
-			cp := *sel
-			cp.Choice = append([]int(nil), sel.Choice...)
-			if r.shared != nil {
-				r.shared.cache.put(r.selCtx, cp)
-			}
-			if r.store != nil {
-				r.store.put(r.selCtx, encodeSelection(cp))
-			}
+		if reuse && !sel.Degraded {
+			r.selectionPut(sel)
 		}
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -663,9 +648,9 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 	r.Remaps = nil
 	r.Dynamic = false
 	for _, e := range r.PCFG.Edges {
-		from := r.Phases[e.From].ChosenLayout()
-		to := r.Phases[e.To].ChosenLayout()
-		moved := remap.Moved(from, to, liveNames(r.LiveIn[e.To]))
+		pf, pt := r.Phases[e.From], r.Phases[e.To]
+		from, to := pf.Candidates[pf.Chosen], pt.Candidates[pt.Chosen]
+		moved := remap.Moved(from.Layout, to.Layout, liveNames(r.LiveIn[e.To]))
 		if len(moved) == 0 {
 			continue
 		}
@@ -673,13 +658,61 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		r.Remaps = append(r.Remaps, RemapDecision{
 			Edge:   e,
 			Arrays: moved,
-			Cost: r.remapCost(from, to,
-				key(e.From, r.Phases[e.From].Chosen), key(e.To, r.Phases[e.To].Chosen),
-				moved, strings.Join(moved, "\x1f")) * e.Freq,
+			Cost:   r.remapCost(from.Layout, to.Layout, from.fullKey, to.fullKey, moved, joinNames(moved)) * e.Freq,
 		})
 	}
 	r.syncCacheStats()
 	return nil
+}
+
+// cloneSelection copies a selection deeply enough that the cached copy
+// and the Result's never share the Choice slice.
+func cloneSelection(s layoutgraph.Selection) layoutgraph.Selection {
+	s.Choice = append([]int(nil), s.Choice...)
+	return s
+}
+
+// selectionGet returns a private copy of the selection an identical
+// problem already produced: from the shared cache (L2), else from the
+// on-disk store (L3, promoting the record to L2; a payload failing the
+// codec is quarantined and solved fresh).  The store-read Corrupt fault
+// poisons the cost a disk hit serves.
+func (r *Result) selectionGet() *layoutgraph.Selection {
+	k := cacheKey{ctx: r.selCtx}
+	if sl := r.shared; sl != nil {
+		v, _ := sl.cache.get(k)
+		saved, ok := v.(layoutgraph.Selection)
+		sl.traffic[kindSelection].count(ok)
+		if ok {
+			sel := cloneSelection(saved)
+			return &sel
+		}
+	}
+	payload, ok := r.store.get(r.selCtx)
+	if !ok {
+		return nil
+	}
+	sel, err := decodeSelection(payload)
+	if err != nil {
+		r.store.badDecode(r.selCtx)
+		return nil
+	}
+	if r.shared != nil {
+		r.shared.cache.put(k, cloneSelection(sel))
+	}
+	sel.Cost = r.opt.Fault.Corrupt(stage.StoreRead, sel.Cost)
+	return &sel
+}
+
+// selectionPut files a freshly solved selection under selCtx in L2 and
+// L3; the store is addressed by the context hash alone.
+func (r *Result) selectionPut(sel *layoutgraph.Selection) {
+	if r.shared != nil {
+		r.shared.cache.put(cacheKey{ctx: r.selCtx}, cloneSelection(*sel))
+	}
+	if r.store != nil {
+		r.store.put(r.selCtx, encodeSelection(*sel))
+	}
 }
 
 // mergeTies finds adjacent phase pairs that can safely be tied

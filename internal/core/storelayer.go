@@ -40,8 +40,8 @@ const storeFailureLimit = 3
 type storeLayer struct {
 	st *store.Store
 
-	hits, misses, writes atomic.Int64
-	decodeFails          atomic.Int64
+	traffic             hitMiss
+	writes, decodeFails atomic.Int64
 
 	mu       sync.Mutex
 	broken   bool
@@ -118,15 +118,10 @@ func (sl *storeLayer) get(key string) ([]byte, bool) {
 		if !errors.As(err, &ce) {
 			sl.recordFailure(stage.StoreRead, err)
 		}
-		sl.misses.Add(1)
-		return nil, false
+		ok = false
 	}
-	if !ok {
-		sl.misses.Add(1)
-		return nil, false
-	}
-	sl.hits.Add(1)
-	return payload, true
+	sl.traffic.count(ok)
+	return payload, ok
 }
 
 // put writes one payload through, counting it only when a record was
@@ -171,9 +166,10 @@ func (sl *storeLayer) summary() StoreSummary {
 	if sl == nil {
 		return StoreSummary{}
 	}
+	t := sl.traffic.stats()
 	s := StoreSummary{
-		Hits:           sl.hits.Load(),
-		Misses:         sl.misses.Load(),
+		Hits:           t.Hits,
+		Misses:         t.Misses,
 		Writes:         sl.writes.Load(),
 		DecodeFailures: sl.decodeFails.Load(),
 	}
