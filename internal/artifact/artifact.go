@@ -174,7 +174,15 @@ func PhaseKeyFrom(decls Key, sig string) Key {
 // full serialized training tables (machine.WriteTable emits every
 // operation time and communication training set in deterministic
 // order), so two models with equal keys price every event identically.
+//
+// A model is immutable, so its key is derived once and kept in the
+// model (machine.Model.ContentKey): every request reads it for its own
+// key and again for its cache contexts.
 func MachineKey(m *machine.Model) Key {
+	return Key(m.ContentKey(machineKey))
+}
+
+func machineKey(m *machine.Model) string {
 	h := NewHasher("machine")
 	h.Str(m.Name())
 	if err := m.WriteTable(hashWriter{h}); err != nil {
@@ -183,7 +191,7 @@ func MachineKey(m *machine.Model) Key {
 		// than panicking so a future table format cannot break hashing.
 		h.Str(fmt.Sprintf("table-error:%v", err))
 	}
-	return h.Key()
+	return string(h.Key())
 }
 
 // hashWriter adapts a Hasher to io.Writer for serializers.

@@ -129,10 +129,76 @@ func (c *memo[K, V]) stats() CacheStats {
 	return c.hitMiss.stats()
 }
 
-// cacheKey identifies one memoized value in every tier.  ctx is the
-// content hash of what is fixed per run (see deriveSharedKeys); a, b
-// and c are the entry's own parts, kept as separate strings so that
-// building a key allocates nothing and part boundaries cannot collide:
+// ident is one part of a memoized value's identity — a phase signature,
+// a layout FullKey, a joined live-array list or a run context — as a
+// value: the content string, the 64-bit hash of its bytes and, when an
+// interner handed it out, the small id that stands for it inside one
+// run.  Each is computed once per distinct string per run, where the
+// string is built; every lookup after that compares and hashes ids.
+type ident struct {
+	s  string
+	h  uint64
+	id uint32
+}
+
+// part makes the ident of a string that needs no id (a run context).
+func part(s string) ident { return ident{s: s, h: hashString(s)} }
+
+// hashString is FNV-1a over the string's bytes: a pure function of the
+// content, with no per-process seed (see SharedCache.shard).
+func hashString(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var h uint64 = offset64
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
+}
+
+// interner is one run's identity table: equal strings get one ident, so
+// two phases with the same signature, or two candidates with the same
+// FullKey, share an id.  The pipeline fills it in sequential passes
+// before each fan-out (stagePricing, reselect), sized up front so that
+// what it allocates does not depend on the map's hash seed; the mutex
+// is for Result's public queries, which may run side by side.
+type interner struct {
+	mu sync.Mutex
+	m  map[string]ident
+}
+
+func newInterner(size int) *interner {
+	return &interner{m: make(map[string]ident, size)}
+}
+
+func (t *interner) intern(s string) ident {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.m[s]
+	if !ok {
+		id = ident{s: s, h: hashString(s), id: uint32(len(t.m))}
+		t.m[s] = id
+	}
+	return id
+}
+
+// The per-run memos (L1) are keyed by ids, so a hit hashes 8 or 12
+// bytes whatever the size of the program.
+type (
+	priceID struct{ sig, layout uint32 }
+	remapID struct{ from, to, live uint32 }
+)
+
+// cacheKey identifies one memoized value in the SharedCache (L2), which
+// outlives a run and is shared between programs and sessions: it holds
+// the content itself, so two runs can only meet on a key when they mean
+// the same value.  ctx is the content hash of what is fixed per run (see
+// deriveSharedKeys); a, b and c are the entry's own parts, kept as
+// separate strings so that building a key allocates nothing and part
+// boundaries cannot collide:
 //
 //	pricing     {priceCtx, phase signature, layout FullKey, ""}
 //	transition  {remapCtx, from FullKey, to FullKey, live-array list}
@@ -142,7 +208,23 @@ func (c *memo[K, V]) stats() CacheStats {
 // everything the compiler model reads from the phase and the FullKey
 // the exact alignment and distribution, so phases with identical
 // computations — repeated sweeps are the common case — share pricings.
-type cacheKey struct{ ctx, a, b, c string }
+//
+// hash combines the parts' hashes; newCacheKey is the only constructor,
+// so equal parts always carry an equal hash.  A key is built only when
+// the per-run memo has missed.
+type cacheKey struct {
+	ctx, a, b, c string
+	hash         uint64
+}
+
+func newCacheKey(ctx, a, b, c ident) cacheKey {
+	const prime64 = 1099511628211
+	h := ctx.h
+	for _, p := range [...]uint64{a.h, b.h, c.h} {
+		h = (h ^ p) * prime64
+	}
+	return cacheKey{ctx: ctx.s, a: a.s, b: b.s, c: c.s, hash: h}
+}
 
 // sharedLayer is one run's view of the injected SharedCache (L2): the
 // cache plus this run's traffic per entry kind (the SharedCache's own
@@ -167,8 +249,9 @@ type priced struct {
 }
 
 // lookup is the one walk through the memoization tiers: the per-run
-// memo (L1), then the injected SharedCache (L2), then compute, filling
-// every tier above the one that answered.  The on-disk store is not
+// memo (L1, under the entry's ids), then the injected SharedCache (L2,
+// under the content key, which key builds only now), then compute,
+// filling every tier above the one that answered.  The on-disk store is not
 // consulted: a pricing or a transition costs less to recompute than a
 // record costs to read.  Two workers missing the same key concurrently
 // both compute it (the models are pure, so the duplicate work is
@@ -180,27 +263,29 @@ type priced struct {
 // promotes to L1, which the Result certificate catches by re-deriving
 // costs straight from the models.  A foreign value under our key can
 // only mean a corrupted cache; it is a miss.
-func lookup[V any](r *Result, l1 *memo[cacheKey, V], kind int, k cacheKey, cost func(*V) *float64, compute func() V) (_ V, fromL2 bool) {
-	if v, ok := l1.get(k); ok {
+func lookup[K comparable, V any](r *Result, l1 *memo[K, V], id K, kind int, key func() cacheKey, cost func(*V) *float64, compute func() V) (_ V, fromL2 bool) {
+	if v, ok := l1.get(id); ok {
 		return v, false
 	}
 	sl := r.shared
+	var k cacheKey
 	if sl != nil {
 		if ferr := r.opt.Fault.Err(stage.CacheShared); ferr != nil {
 			panic(ferr)
 		}
+		k = key()
 		got, _ := sl.cache.get(k)
 		hit, ok := got.(V)
 		sl.traffic[kind].count(ok)
 		if ok {
 			t := cost(&hit)
 			*t = r.opt.Fault.Corrupt(stage.CacheShared, *t)
-			l1.put(k, hit)
+			l1.put(id, hit)
 			return hit, true
 		}
 	}
 	v := compute()
-	l1.put(k, v)
+	l1.put(id, v)
 	if sl != nil {
 		sl.cache.put(k, v)
 	}
@@ -209,8 +294,9 @@ func lookup[V any](r *Result, l1 *memo[cacheKey, V], kind int, k cacheKey, cost 
 
 // price evaluates one candidate layout for a phase through the tiers:
 // the compiler model simulates the communication the layout induces and
-// the execution model prices the resulting schedule.
-func (r *Result) price(pr *PhaseResult, l *layout.Layout, fullKey string) (*compmodel.Plan, execmodel.Estimate) {
+// the execution model prices the resulting schedule.  key is the interned
+// l.FullKey().
+func (r *Result) price(pr *PhaseResult, l *layout.Layout, key ident) (*compmodel.Plan, execmodel.Estimate) {
 	// The cache fault site: price has no error return, so an injected
 	// failure panics and surfaces as the usual typed *InternalError via
 	// the package's recovery boundaries — semantically right for a
@@ -220,8 +306,8 @@ func (r *Result) price(pr *PhaseResult, l *layout.Layout, fullKey string) (*comp
 	if ferr := r.opt.Fault.Err(stage.Cache); ferr != nil {
 		panic(ferr)
 	}
-	k := cacheKey{ctx: r.keys.price, a: pr.sig, b: fullKey}
-	v, fromL2 := lookup(r, r.prices, kindPrice, k,
+	v, fromL2 := lookup(r, r.prices, priceID{pr.sig.id, key.id}, kindPrice,
+		func() cacheKey { return newCacheKey(r.keys.price, pr.sig, key, ident{}) },
 		func(p *priced) *float64 { return &p.est.Time },
 		func() priced {
 			plan := compmodel.Analyze(r.Unit, pr.Info, l, r.opt.Compiler)
@@ -233,15 +319,14 @@ func (r *Result) price(pr *PhaseResult, l *layout.Layout, fullKey string) (*comp
 	return v.plan, v.est
 }
 
-// remapCost prices moving the named live arrays between two layouts
-// through the tiers.  fromKey/toKey are the layouts' FullKeys (carried
-// by their candidates) and joined is joinNames(names), built once per
-// edge by the caller instead of once per lookup.
-func (r *Result) remapCost(from, to *layout.Layout, fromKey, toKey string, names []string, joined string) float64 {
-	k := cacheKey{ctx: r.keys.remap, a: fromKey, b: toKey, c: joined}
-	v, _ := lookup(r, r.remaps, kindRemap, k,
+// remapCost prices moving the named live arrays between two candidates'
+// layouts through the tiers.  live is the interned joinNames(names),
+// built once per edge by the caller instead of once per lookup.
+func (r *Result) remapCost(from, to *Candidate, names []string, live ident) float64 {
+	v, _ := lookup(r, r.remaps, remapID{from.key.id, to.key.id, live.id}, kindRemap,
+		func() cacheKey { return newCacheKey(r.keys.remap, from.key, to.key, live) },
 		func(c *float64) *float64 { return c },
-		func() float64 { return remap.Cost(from, to, r.Unit.Arrays, names, r.Machine) })
+		func() float64 { return remap.Cost(from.Layout, to.Layout, r.Unit.Arrays, names, r.Machine) })
 	return v
 }
 

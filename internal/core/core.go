@@ -229,9 +229,9 @@ type Candidate struct {
 	// Cost is the frequency-weighted estimated time (µs).
 	Cost float64
 
-	// fullKey is Layout.FullKey(), the layout's part of every cacheKey,
-	// built once when the candidate is priced.
-	fullKey string
+	// key is the interned Layout.FullKey(), the layout's part of every
+	// memoization key, built once when the candidate is priced.
+	key ident
 }
 
 // PhaseResult bundles a phase with its search space.
@@ -245,8 +245,8 @@ type PhaseResult struct {
 	DataType fortran.DataType
 
 	// sig is the phase's canonical statement rendering, the phase
-	// component of the pricing memoization key.
-	sig string
+	// component of the pricing memoization key (interned by stagePricing).
+	sig ident
 }
 
 // ChosenLayout returns the selected candidate's layout.
@@ -360,11 +360,15 @@ type Result struct {
 	// opt retains the invocation options for re-selection after search
 	// space edits.
 	opt Options
+	// ids is the run's identity table: every phase signature, candidate
+	// FullKey and live-array list the memoization layers see is interned
+	// here first.
+	ids *interner
 	// prices and remaps are the run's memoization layers (L1; nil when
 	// Options.NoCache); they stay attached so InsertCandidate and
 	// Reselect keep benefiting from them.
-	prices *memo[cacheKey, priced]
-	remaps *memo[cacheKey, float64]
+	prices *memo[priceID, priced]
+	remaps *memo[remapID, float64]
 	// keys holds the run's cacheKey contexts (zero without a shared
 	// cache or store: a per-run memo needs no context).
 	keys sharedKeys
@@ -480,7 +484,7 @@ func (r *Result) InsertCandidate(phase int, l *layout.Layout, origin string) (id
 			return i, fmt.Errorf("core: phase %d already has an identical candidate (index %d)", phase, i)
 		}
 	}
-	key := l.FullKey()
+	key := r.ids.intern(l.FullKey())
 	plan, est := r.price(pr, l, key)
 	pr.Candidates = append(pr.Candidates, &Candidate{
 		Layout:      l,
@@ -488,7 +492,7 @@ func (r *Result) InsertCandidate(phase int, l *layout.Layout, origin string) (id
 		Plan:        plan,
 		Estimate:    est,
 		Cost:        est.Time * pr.Phase.Freq,
-		fullKey:     key,
+		key:         key,
 	})
 	r.spacesDirty = true
 	r.syncCacheStats()
@@ -537,7 +541,7 @@ func (r *Result) EvaluatePinned(pick func(pr *PhaseResult) int) (float64, []int,
 		from := r.Phases[e.From].Candidates[choice[e.From]]
 		to := r.Phases[e.To].Candidates[choice[e.To]]
 		names := liveNames(r.LiveIn[e.To])
-		total += r.remapCost(from.Layout, to.Layout, from.fullKey, to.fullKey, names, joinNames(names)) * e.Freq
+		total += r.remapCost(from, to, names, r.ids.intern(joinNames(names))) * e.Freq
 	}
 	return total, choice, nil
 }

@@ -69,24 +69,13 @@ func NewSharedCache(capacity int) *SharedCache {
 	return c
 }
 
-// shard picks the shard for a key with the FNV-1a hash of its parts'
-// bytes — cheap, allocation-free, and the parts are content hashes or
-// canonical renderings.  The step between parts keeps {"xy", "z"} and
-// {"x", "yz"} from landing on one hash by construction.
+// shard picks the shard from the hash the key carries: O(1), where
+// hashing the parts again on every get and put was 8 % of a sweep point.
+// The hash is a pure function of the key's content with no per-process
+// seed (unlike the runtime's map hash), so which entries share a shard —
+// and with it the LRU eviction order — repeats from process to process.
 func (c *SharedCache) shard(key cacheKey) *sharedShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for _, part := range [...]string{key.ctx, key.a, key.b, key.c} {
-		for i := 0; i < len(part); i++ {
-			h ^= uint64(part[i])
-			h *= prime64
-		}
-		h *= prime64
-	}
-	return &c.shards[h%sharedShards]
+	return &c.shards[(key.hash^key.hash>>32)%sharedShards]
 }
 
 // get returns the cached value for key, promoting it to most recently
@@ -184,8 +173,8 @@ func (c *SharedCache) Stats() SharedCacheStats {
 // everything a pricing (resp. remapping) evaluation depends on besides
 // the entry's own parts, derived once per run.
 type sharedKeys struct {
-	price string // decls + machine + compiler options + default trip
-	remap string // decls + machine
+	price ident // decls + machine + compiler options + default trip
+	remap ident // decls + machine
 }
 
 // deriveSharedKeys computes the run's cacheKey contexts from the option
@@ -196,10 +185,11 @@ type sharedKeys struct {
 //	priceCtx   = H(declsKey, machineKey, compiler options, default trip)
 //	remapCtx   = H(declsKey, machineKey)
 //
-// and an entry's key is cacheKey{priceCtx, phase signature, layout
-// FullKey} (resp. cacheKey{remapCtx, from, to, live-array list}) in
-// both the per-run memo and the SharedCache.  Procs is absent by
-// design: it is fully determined by the layouts in the key.
+// and an entry's SharedCache key is cacheKey{priceCtx, phase signature,
+// layout FullKey} (resp. cacheKey{remapCtx, from, to, live-array
+// list}); the per-run memo needs no context and keys the same parts by
+// their interned ids.  Procs is absent by design: it is fully
+// determined by the layouts in the key.
 //
 // The context hashes the *declaration* key, not the whole-program unit
 // key: a pricing depends on the phase's statements (the signature in
@@ -220,7 +210,7 @@ func deriveSharedKeys(declsKey artifact.Key, opt Options) sharedKeys {
 		Int(opt.DefaultTrip).
 		Key()
 	return sharedKeys{
-		price: string(price),
-		remap: string(artifact.Combine("remap-ctx", declsKey, machineKey)),
+		price: part(string(price)),
+		remap: part(string(artifact.Combine("remap-ctx", declsKey, machineKey))),
 	}
 }

@@ -14,7 +14,7 @@ type tierCache interface {
 }
 
 // key builds a one-part cacheKey for tests that only need distinct keys.
-func key(s string) cacheKey { return cacheKey{a: s} }
+func key(s string) cacheKey { return newCacheKey(ident{}, part(s), ident{}, ident{}) }
 
 // TestSharedCacheBasics: get/put round-trip, counters and nil safety of
 // both implementations — the SharedCache (L2) and the memo behind L1
@@ -52,7 +52,11 @@ func TestSharedCacheBasics(t *testing.T) {
 			t.Fatalf("%s: hit rate = %v", tc.name, got)
 		}
 		// One concatenated string could not tell these two apart.
-		left, right := cacheKey{a: "x\x1fy", b: "z"}, cacheKey{a: "x", b: "y\x1fz"}
+		left := newCacheKey(ident{}, part("x\x1fy"), part("z"), ident{})
+		right := newCacheKey(ident{}, part("x"), part("y\x1fz"), ident{})
+		if left.hash == right.hash {
+			t.Errorf("%s: part boundaries do not reach the key hash", tc.name)
+		}
 		c.put(left, "left")
 		c.put(right, "right")
 		if l, _ := c.get(left); l != "left" {
@@ -157,9 +161,10 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheHitsAllocateNothing pins the struct key's point: a remapCost
-// served by L1, and building a key plus the SharedCache lookup on an L2
-// hit, allocate nothing.
+// TestCacheHitsAllocateNothing pins the point of the two key shapes: a
+// price and a remapCost served by L1 hash a few ids and allocate
+// nothing, and building the content key plus the SharedCache lookup on
+// an L2 hit allocate nothing either.
 func TestCacheHitsAllocateNothing(t *testing.T) {
 	shared := NewSharedCache(0)
 	res, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 4, Cache: shared})
@@ -167,20 +172,26 @@ func TestCacheHitsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := res.PCFG.Edges[0]
-	from, to := res.Phases[e.From].ChosenLayout(), res.Phases[e.To].ChosenLayout()
-	fk, tk := from.FullKey(), to.FullKey()
+	pr := res.Phases[e.From]
+	from, to := pr.Candidates[pr.Chosen], res.Phases[e.To].Candidates[res.Phases[e.To].Chosen]
 	names := liveNames(res.LiveIn[e.To])
-	joined := joinNames(names)
-	before := res.remaps.stats()
-	if n := testing.AllocsPerRun(100, func() { res.remapCost(from, to, fk, tk, names, joined) }); n != 0 {
+	live := res.ids.intern(joinNames(names))
+	before, beforePrice := res.remaps.stats(), res.prices.stats()
+	if n := testing.AllocsPerRun(100, func() { res.remapCost(from, to, names, live) }); n != 0 {
 		t.Errorf("remapCost on an L1 hit allocates %v times", n)
 	}
 	if after := res.remaps.stats(); after.Misses != before.Misses || after.Hits == before.Hits {
 		t.Fatalf("the pinned remapCost calls were not L1 hits: %+v -> %+v", before, after)
 	}
+	if n := testing.AllocsPerRun(100, func() { res.price(pr, from.Layout, from.key) }); n != 0 {
+		t.Errorf("price on an L1 hit allocates %v times", n)
+	}
+	if after := res.prices.stats(); after.Misses != beforePrice.Misses || after.Hits == beforePrice.Hits {
+		t.Fatalf("the pinned price calls were not L1 hits: %+v -> %+v", beforePrice, after)
+	}
 	hits := shared.Stats().Hits
 	if n := testing.AllocsPerRun(100, func() {
-		shared.get(cacheKey{ctx: res.keys.remap, a: fk, b: tk, c: joined})
+		shared.get(newCacheKey(res.keys.remap, from.key, to.key, live))
 	}); n != 0 {
 		t.Errorf("building a key and an L2 hit allocate %v times", n)
 	}

@@ -325,8 +325,8 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontSta
 		alignDegs: aa.degs,
 	}
 	if !opt.NoCache {
-		res.prices = &memo[cacheKey, priced]{}
-		res.remaps = &memo[cacheKey, float64]{}
+		res.prices = &memo[priceID, priced]{}
+		res.remaps = &memo[remapID, float64]{}
 	}
 	useShared := opt.Cache != nil && !opt.NoCache
 	useStore := (opt.Store != nil || opt.StoreDir != "") && !opt.NoCache
@@ -348,8 +348,8 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontSta
 			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
-				Str(res.keys.price).
-				Str(res.keys.remap).
+				Str(res.keys.price.s).
+				Str(res.keys.remap.s).
 				Int(opt.Procs).
 				Bool(opt.Cyclic).
 				Bool(opt.MultiDim).
@@ -401,7 +401,7 @@ func stageCandidateSpaces(ctx context.Context, opt Options, ua *unitArtifact, da
 			Phase:      ph,
 			Info:       da.infos[ph.ID],
 			DataType:   phaseType(ua.unit, ph),
-			sig:        da.sigs[i],
+			sig:        ident{s: da.sigs[i]},
 			Candidates: make([]*Candidate, len(space)),
 		}
 		for j, pl := range space {
@@ -415,10 +415,11 @@ func stageCandidateSpaces(ctx context.Context, opt Options, ua *unitArtifact, da
 	return nil
 }
 
-// stagePricing prices every candidate.  The fan-out is over the
-// flattened (phase, candidate) pairs — not per phase — so one phase
-// with a huge space cannot serialize the pool; each job writes its own
-// slot.
+// stagePricing prices every candidate.  A sequential pass first gives
+// every phase signature and candidate FullKey its ident, so the fan-out
+// only reads the identity table.  The fan-out is over the flattened
+// (phase, candidate) pairs — not per phase — so one phase with a huge
+// space cannot serialize the pool; each job writes its own slot.
 func stagePricing(ctx context.Context, opt Options, res *Result, tm stage.Timings) error {
 	defer timed(tm, stage.Pricing)()
 	type job struct{ p, c int }
@@ -428,6 +429,15 @@ func stagePricing(ctx context.Context, opt Options, res *Result, tm stage.Timing
 			jobs = append(jobs, job{p, c})
 		}
 	}
+	// Every string the run will intern: a signature per phase, a FullKey
+	// per candidate, and in reselect a live list per edge and per remap.
+	res.ids = newInterner(len(jobs) + len(res.Phases) + 2*len(res.PCFG.Edges))
+	for _, pr := range res.Phases {
+		pr.sig = res.ids.intern(pr.sig.s)
+		for _, cand := range pr.Candidates {
+			cand.key = res.ids.intern(cand.Layout.FullKey())
+		}
+	}
 	if err := par.Do(ctx, opt.Workers, len(jobs), func(i int) error {
 		if ferr := opt.Fault.Err(stage.Pricing); ferr != nil {
 			return ferr
@@ -435,8 +445,7 @@ func stagePricing(ctx context.Context, opt Options, res *Result, tm stage.Timing
 		j := jobs[i]
 		pr := res.Phases[j.p]
 		cand := pr.Candidates[j.c]
-		cand.fullKey = cand.Layout.FullKey()
-		cand.Plan, cand.Estimate = res.price(pr, cand.Layout, cand.fullKey)
+		cand.Plan, cand.Estimate = res.price(pr, cand.Layout, cand.key)
 		cand.Cost = opt.Fault.Corrupt(stage.Pricing, cand.Estimate.Time*pr.Phase.Freq)
 		return nil
 	}); err != nil {
@@ -534,19 +543,27 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		}
 	}
 	if n := len(r.PCFG.Edges); n > 0 {
+		// Each edge's live list gets its ident before the fan-out.
+		type liveSet struct {
+			names []string
+			key   ident
+		}
+		lives := make([]liveSet, n)
+		for k, e := range r.PCFG.Edges {
+			names := liveNames(r.LiveIn[e.To])
+			lives[k] = liveSet{names, r.ids.intern(joinNames(names))}
+		}
 		edges := make([]*layoutgraph.Edge, n)
 		if err := par.Do(ctx, par.Workers(r.opt.Workers), n, func(k int) error {
 			e := r.PCFG.Edges[k]
 			from, to := r.Phases[e.From], r.Phases[e.To]
 			edge := &layoutgraph.Edge{FromPhase: e.From, ToPhase: e.To}
 			edge.Cost = make([][]float64, len(from.Candidates))
-			liveArrays := liveNames(r.LiveIn[e.To])
-			joined := strings.Join(liveArrays, "\x1f")
+			live := lives[k]
 			for i, ci := range from.Candidates {
 				edge.Cost[i] = make([]float64, len(to.Candidates))
 				for j, cj := range to.Candidates {
-					c := r.remapCost(ci.Layout, cj.Layout, ci.fullKey, cj.fullKey, liveArrays, joined)
-					edge.Cost[i][j] = c * e.Freq
+					edge.Cost[i][j] = r.remapCost(ci, cj, live.names, live.key) * e.Freq
 				}
 			}
 			edges[k] = edge
@@ -658,7 +675,7 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		r.Remaps = append(r.Remaps, RemapDecision{
 			Edge:   e,
 			Arrays: moved,
-			Cost:   r.remapCost(from.Layout, to.Layout, from.fullKey, to.fullKey, moved, joinNames(moved)) * e.Freq,
+			Cost:   r.remapCost(from, to, moved, r.ids.intern(joinNames(moved))) * e.Freq,
 		})
 	}
 	r.syncCacheStats()
@@ -678,7 +695,7 @@ func cloneSelection(s layoutgraph.Selection) layoutgraph.Selection {
 // codec is quarantined and solved fresh).  The store-read Corrupt fault
 // poisons the cost a disk hit serves.
 func (r *Result) selectionGet() *layoutgraph.Selection {
-	k := cacheKey{ctx: r.selCtx}
+	k := r.selKey()
 	if sl := r.shared; sl != nil {
 		v, _ := sl.cache.get(k)
 		saved, ok := v.(layoutgraph.Selection)
@@ -704,11 +721,16 @@ func (r *Result) selectionGet() *layoutgraph.Selection {
 	return &sel
 }
 
+// selKey is the selection's SharedCache key: the context alone.
+func (r *Result) selKey() cacheKey {
+	return newCacheKey(part(r.selCtx), ident{}, ident{}, ident{})
+}
+
 // selectionPut files a freshly solved selection under selCtx in L2 and
 // L3; the store is addressed by the context hash alone.
 func (r *Result) selectionPut(sel *layoutgraph.Selection) {
 	if r.shared != nil {
-		r.shared.cache.put(cacheKey{ctx: r.selCtx}, cloneSelection(*sel))
+		r.shared.cache.put(r.selKey(), cloneSelection(*sel))
 	}
 	if r.store != nil {
 		r.store.put(r.selCtx, encodeSelection(*sel))

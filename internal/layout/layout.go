@@ -12,8 +12,11 @@ package layout
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Template is the single program template of §2.2.
@@ -71,26 +74,54 @@ type DimDist struct {
 }
 
 func (d DimDist) String() string {
+	var buf [32]byte
+	return string(d.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering to b.  The layout keys are built
+// from it: they are cache-key parts, so their bytes are pinned.
+func (d DimDist) appendTo(b []byte) []byte {
 	switch d.Kind {
 	case Star:
-		return "*"
+		return append(b, '*')
 	case Block:
-		return fmt.Sprintf("BLOCK/%d", d.Procs)
+		b = append(b, "BLOCK/"...)
 	case Cyclic:
-		return fmt.Sprintf("CYCLIC/%d", d.Procs)
+		b = append(b, "CYCLIC/"...)
 	case BlockCyclic:
-		return fmt.Sprintf("CYCLIC(%d)/%d", d.Size, d.Procs)
+		b = append(b, "CYCLIC("...)
+		b = strconv.AppendInt(b, int64(d.Size), 10)
+		b = append(b, ")/"...)
+	default:
+		return append(b, '?')
 	}
-	return "?"
+	return strconv.AppendInt(b, int64(d.Procs), 10)
 }
+
+// distributed reports whether the dimension is spread over more than
+// one processor.
+func (d DimDist) distributed() bool { return d.Kind != Star && d.Procs > 1 }
 
 // Alignment maps array dimensions to template dimensions: Map[a][k] is
 // the 0-based template dimension holding dimension k of array a.  For
 // arrays of lower rank than the template this is an embedding; template
 // dimensions not covered by an array replicate it along those
 // dimensions.
+//
+// Read Map freely, but write it through Set: the alignment keeps its
+// arrays in name order for the layouts built on it (a search space
+// crosses one alignment with every distribution), and Set is what drops
+// that view.  Do not copy an Alignment by value.
 type Alignment struct {
 	Map map[string][]int
+
+	rows atomic.Pointer[[]alignRow] // see sorted; nil until asked, and after Set
+}
+
+// alignRow is one aligned array: Map's entry under its key.
+type alignRow struct {
+	name string
+	dims []int
 }
 
 // NewAlignment creates an empty alignment.
@@ -99,6 +130,22 @@ func NewAlignment() *Alignment { return &Alignment{Map: map[string][]int{}} }
 // Set records the embedding for one array.
 func (a *Alignment) Set(array string, dims []int) {
 	a.Map[array] = append([]int(nil), dims...)
+	a.rows.Store(nil)
+}
+
+// sorted returns Map's entries in name order, built once per alignment
+// and shared by every layout on it.  The slice is read-only.
+func (a *Alignment) sorted() []alignRow {
+	if p := a.rows.Load(); p != nil {
+		return *p
+	}
+	rows := make([]alignRow, 0, len(a.Map))
+	for name, dims := range a.Map {
+		rows = append(rows, alignRow{name, dims})
+	}
+	slices.SortFunc(rows, func(x, y alignRow) int { return strings.Compare(x.name, y.name) })
+	a.rows.Store(&rows)
+	return rows
 }
 
 // Of returns the template dimension of (array, dim), or -1 if the
@@ -113,11 +160,11 @@ func (a *Alignment) Of(array string, dim int) int {
 
 // Arrays returns the aligned array names, sorted.
 func (a *Alignment) Arrays() []string {
-	out := make([]string, 0, len(a.Map))
-	for n := range a.Map {
-		out = append(out, n)
+	rows := a.sorted()
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -148,10 +195,107 @@ func (a *Alignment) String() string {
 
 // Layout is a complete candidate data layout: an alignment plus a
 // distribution of every template dimension.
+//
+// A layout is a value: its first placement query derives its placement
+// (see place) once, so Align and Dist must not be changed after the
+// layout is first used — edit a Clone instead.  Do not copy a Layout by
+// value.
 type Layout struct {
 	Template Template
 	Align    *Alignment
 	Dist     []DimDist
+
+	once sync.Once
+	placement
+}
+
+// placement is what a layout's placement queries read, derived once per
+// layout: candidate pricing asks them per array reference and transition
+// pricing per array and layout pair, so they must not walk Align.Map or
+// allocate.
+type placement struct {
+	rows []alignRow // Align.sorted() at first use
+	rank int        // len(Dist)
+	// ints packs, in one allocation: per template dimension its
+	// processor-grid axis (the distributed dimensions numbered 0,1,...;
+	// -1 for an undistributed one — the axis an array dimension occupies
+	// is part of its placement signature); then per row where its
+	// distributed dimensions end; then every row's distributed array
+	// dimensions, ascending.
+	ints []int
+}
+
+// place returns the layout's placement, deriving it on first use.
+func (l *Layout) place() *placement {
+	l.once.Do(l.derive)
+	return &l.placement
+}
+
+func (l *Layout) derive() {
+	p := &l.placement
+	p.rows = l.Align.sorted()
+	p.rank = len(l.Dist)
+	total := 0
+	for _, r := range p.rows {
+		total += len(r.dims)
+	}
+	p.ints = make([]int, p.rank+len(p.rows), p.rank+len(p.rows)+total)
+	next := 0
+	for t, d := range l.Dist {
+		p.ints[t] = -1
+		if d.distributed() {
+			p.ints[t] = next
+			next++
+		}
+	}
+	for i, r := range p.rows {
+		for dim, t := range r.dims {
+			if p.axis(t) >= 0 {
+				p.ints = append(p.ints, dim)
+			}
+		}
+		p.ints[p.rank+i] = len(p.ints)
+	}
+}
+
+// axis returns the processor-grid axis of template dimension t, or -1
+// when t is not distributed (or, in an invalid layout, not a template
+// dimension at all).
+func (p *placement) axis(t int) int {
+	if t < 0 || t >= p.rank {
+		return -1
+	}
+	return p.ints[t]
+}
+
+// find returns the index of the array's row, or -1 for an array the
+// alignment does not know.
+func (p *placement) find(array string) int {
+	i, ok := slices.BinarySearchFunc(p.rows, array, func(r alignRow, name string) int { return strings.Compare(r.name, name) })
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// dims returns the array's template dimension per array dimension (nil
+// for an unknown array).
+func (p *placement) dims(array string) []int {
+	if i := p.find(array); i >= 0 {
+		return p.rows[i].dims
+	}
+	return nil
+}
+
+// dist returns row i's distributed array dimensions.
+func (p *placement) dist(i int) []int {
+	// The rows' dimensions follow the axis table and the end offsets.
+	start := p.rank + len(p.rows)
+	if i > 0 {
+		start = p.ints[p.rank+i-1]
+	}
+	end := p.ints[p.rank+i]
+	return p.ints[start:end:end]
 }
 
 // Error reports an invalid layout construction.
@@ -194,20 +338,21 @@ func (l *Layout) Validate() error {
 	if len(l.Dist) != rank {
 		return &Error{fmt.Sprintf("%d dist entries for template rank %d", len(l.Dist), rank)}
 	}
-	for _, a := range l.Align.Arrays() {
-		dims := l.Align.Map[a]
-		if len(dims) > rank {
-			return &Error{fmt.Sprintf("array %s has rank %d > template rank %d", a, len(dims), rank)}
+	// Almost every layout is valid, so look for a bad embedding in map
+	// order first and name the first one in array order only if there is
+	// one.
+	valid := true
+	for a, dims := range l.Align.Map {
+		if checkEmbedding(a, dims, rank) != nil {
+			valid = false
+			break
 		}
-		seen := make(map[int]bool, len(dims))
-		for k, t := range dims {
-			if t < 0 || t >= rank {
-				return &Error{fmt.Sprintf("array %s dim %d aligned to template dim %d outside [0,%d)", a, k+1, t, rank)}
+	}
+	if !valid {
+		for _, a := range l.Align.Arrays() {
+			if err := checkEmbedding(a, l.Align.Map[a], rank); err != nil {
+				return err
 			}
-			if seen[t] {
-				return &Error{fmt.Sprintf("array %s aligns two dimensions to template dim %d", a, t)}
-			}
-			seen[t] = true
 		}
 	}
 	for t, d := range l.Dist {
@@ -223,6 +368,23 @@ func (l *Layout) Validate() error {
 			}
 		default:
 			return &Error{fmt.Sprintf("template dim %d: unknown distribution kind %d", t, int8(d.Kind))}
+		}
+	}
+	return nil
+}
+
+// checkEmbedding checks that dims embeds one array injectively into a
+// template of the given rank.
+func checkEmbedding(a string, dims []int, rank int) error {
+	if len(dims) > rank {
+		return &Error{fmt.Sprintf("array %s has rank %d > template rank %d", a, len(dims), rank)}
+	}
+	for k, t := range dims {
+		if t < 0 || t >= rank {
+			return &Error{fmt.Sprintf("array %s dim %d aligned to template dim %d outside [0,%d)", a, k+1, t, rank)}
+		}
+		if slices.Contains(dims[:k], t) {
+			return &Error{fmt.Sprintf("array %s aligns two dimensions to template dim %d", a, t)}
 		}
 	}
 	return nil
@@ -253,30 +415,27 @@ func (l *Layout) ArrayDist(array string) []DimDist {
 // IsDistributed reports whether dimension dim of array is spread over
 // more than one processor.
 func (l *Layout) IsDistributed(array string, dim int) bool {
-	t := l.Align.Of(array, dim)
-	if t < 0 {
-		return false
-	}
-	d := l.Dist[t]
-	return d.Kind != Star && d.Procs > 1
+	p := l.place()
+	dims := p.dims(array)
+	return dim < len(dims) && p.axis(dims[dim]) >= 0
 }
 
-// DistributedDims returns the distributed dimensions of an array.
+// DistributedDims returns the distributed dimensions of an array, in
+// ascending order.  The slice belongs to the layout: read it, do not
+// change it.
 func (l *Layout) DistributedDims(array string) []int {
-	var out []int
-	for dim := range l.Align.Map[array] {
-		if l.IsDistributed(array, dim) {
-			out = append(out, dim)
-		}
+	p := l.place()
+	if i := p.find(array); i >= 0 {
+		return p.dist(i)
 	}
-	return out
+	return nil
 }
 
 // DistributedTemplateDims returns the distributed template dimensions.
 func (l *Layout) DistributedTemplateDims() []int {
 	var out []int
 	for t, d := range l.Dist {
-		if d.Kind != Star && d.Procs > 1 {
+		if d.distributed() {
 			out = append(out, t)
 		}
 	}
@@ -327,20 +486,25 @@ func (l *Layout) Owner(t, idx int) int {
 // orientation with a row distribution equals a canonical orientation
 // with a column distribution (§3.2).
 func (l *Layout) Key() string {
-	var b strings.Builder
-	for _, a := range l.Align.Arrays() {
-		fmt.Fprintf(&b, "%s(", a)
-		for k := range l.Align.Map[a] {
+	var buf [keyBuf]byte
+	b := buf[:0]
+	for _, a := range l.Align.sorted() {
+		b = append(b, a.name...)
+		b = append(b, '(')
+		for k, t := range a.dims {
 			if k > 0 {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
-			t := l.Align.Of(a, k)
-			b.WriteString(l.Dist[t].String())
+			b = l.Dist[t].appendTo(b)
 		}
-		b.WriteString(")")
+		b = append(b, ')')
 	}
-	return b.String()
+	return string(b)
 }
+
+// keyBuf is the stack buffer a key is rendered into: the corpus's keys
+// fit, so building one costs the allocation of its string and no more.
+const keyBuf = 256
 
 // FullKey is a canonical signature of the layout's exact structure:
 // the distribution of every template dimension plus every array's
@@ -350,17 +514,27 @@ func (l *Layout) Key() string {
 // identically — it is the layout component of the pricing memoization
 // key (see core's cache).
 func (l *Layout) FullKey() string {
-	var b strings.Builder
+	var buf [keyBuf]byte
+	b := buf[:0]
 	for t, d := range l.Dist {
 		if t > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(d.String())
+		b = d.appendTo(b)
 	}
-	for _, a := range l.Align.Arrays() {
-		fmt.Fprintf(&b, "|%s:%v", a, l.Align.Map[a])
+	for _, a := range l.Align.sorted() {
+		b = append(b, '|')
+		b = append(b, a.name...)
+		b = append(b, ':', '[')
+		for k, t := range a.dims {
+			if k > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(t), 10)
+		}
+		b = append(b, ']')
 	}
-	return b.String()
+	return string(b)
 }
 
 // ArrayKey is the canonical signature of one array's placement,
@@ -368,30 +542,25 @@ func (l *Layout) FullKey() string {
 // occupies (two arrays whose dimensions land on different processor
 // grid axes are laid out differently even if the formats match).
 func (l *Layout) ArrayKey(array string) string {
-	m := l.Align.Map[array]
-	parts := make([]string, len(m))
-	for k, t := range m {
-		d := l.Dist[t]
-		if d.Kind == Star || d.Procs <= 1 {
-			parts[k] = "*"
-		} else {
-			parts[k] = fmt.Sprintf("%s@%d", d.String(), gridAxis(l, t))
+	var buf [keyBuf]byte
+	b := append(buf[:0], array...)
+	b = append(b, '(')
+	p := l.place()
+	for k, t := range p.dims(array) {
+		if k > 0 {
+			b = append(b, ',')
 		}
-	}
-	return array + "(" + strings.Join(parts, ",") + ")"
-}
-
-// gridAxis numbers the distributed template dimensions 0,1,... so that
-// the processor-grid axis an array dimension occupies is part of its
-// placement signature.
-func gridAxis(l *Layout, t int) int {
-	axis := 0
-	for i := 0; i < t; i++ {
-		if l.Dist[i].Kind != Star && l.Dist[i].Procs > 1 {
-			axis++
+		axis := p.axis(t)
+		if axis < 0 {
+			b = append(b, '*')
+			continue
 		}
+		b = l.Dist[t].appendTo(b)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(axis), 10)
 	}
-	return axis
+	b = append(b, ')')
+	return string(b)
 }
 
 // SameArrayPlacement reports whether array is placed identically by l
@@ -401,27 +570,26 @@ func SameArrayPlacement(l, m *Layout, array string) bool {
 	// m.ArrayKey(array), without building the strings: this runs once
 	// per (array, layout pair) inside every transition pricing, the
 	// hottest loop of the whole tool.
-	a, b := l.Align.Map[array], m.Align.Map[array]
+	pl, pm := l.place(), m.place()
+	a, b := pl.dims(array), pm.dims(array)
 	if len(a) != len(b) {
 		return false
 	}
 	for k := range a {
-		dl, dm := l.Dist[a[k]], m.Dist[b[k]]
-		lSerial := dl.Kind == Star || dl.Procs <= 1
-		mSerial := dm.Kind == Star || dm.Procs <= 1
-		if lSerial || mSerial {
-			if lSerial != mSerial {
-				return false
-			}
+		// Undistributed on both sides, or on the same grid axis in the
+		// same format.
+		la, ma := pl.axis(a[k]), pm.axis(b[k])
+		if la != ma {
+			return false
+		}
+		if la < 0 {
 			continue
 		}
+		dl, dm := l.Dist[a[k]], m.Dist[b[k]]
 		if dl.Kind != dm.Kind || dl.Procs != dm.Procs {
 			return false
 		}
 		if dl.Kind == BlockCyclic && dl.Size != dm.Size {
-			return false
-		}
-		if gridAxis(l, a[k]) != gridAxis(m, b[k]) {
 			return false
 		}
 	}

@@ -1,7 +1,11 @@
 package layout
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -242,4 +246,241 @@ func TestQuickKeyMatchesPlacement(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The renderers the keys had before they were built with append and
+// strconv, kept as the differential oracle: the keys are parts of the
+// pricing and remap cache keys and what distrib.BuildSpace dedups on, so
+// the new renderers must produce the same bytes.
+
+func dimDistStringBaseline(d DimDist) string {
+	switch d.Kind {
+	case Star:
+		return "*"
+	case Block:
+		return fmt.Sprintf("BLOCK/%d", d.Procs)
+	case Cyclic:
+		return fmt.Sprintf("CYCLIC/%d", d.Procs)
+	case BlockCyclic:
+		return fmt.Sprintf("CYCLIC(%d)/%d", d.Size, d.Procs)
+	}
+	return "?"
+}
+
+func keyBaseline(l *Layout) string {
+	var b strings.Builder
+	for _, a := range l.Align.Arrays() {
+		fmt.Fprintf(&b, "%s(", a)
+		for k := range l.Align.Map[a] {
+			if k > 0 {
+				b.WriteString(",")
+			}
+			t := l.Align.Of(a, k)
+			b.WriteString(dimDistStringBaseline(l.Dist[t]))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+func fullKeyBaseline(l *Layout) string {
+	var b strings.Builder
+	for t, d := range l.Dist {
+		if t > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(dimDistStringBaseline(d))
+	}
+	for _, a := range l.Align.Arrays() {
+		fmt.Fprintf(&b, "|%s:%v", a, l.Align.Map[a])
+	}
+	return b.String()
+}
+
+func gridAxisBaseline(l *Layout, t int) int {
+	axis := 0
+	for i := 0; i < t; i++ {
+		if l.Dist[i].Kind != Star && l.Dist[i].Procs > 1 {
+			axis++
+		}
+	}
+	return axis
+}
+
+func arrayKeyBaseline(l *Layout, array string) string {
+	m := l.Align.Map[array]
+	parts := make([]string, len(m))
+	for k, t := range m {
+		d := l.Dist[t]
+		if d.Kind == Star || d.Procs <= 1 {
+			parts[k] = "*"
+		} else {
+			parts[k] = fmt.Sprintf("%s@%d", dimDistStringBaseline(d), gridAxisBaseline(l, t))
+		}
+	}
+	return array + "(" + strings.Join(parts, ",") + ")"
+}
+
+func distributedDimsBaseline(l *Layout, array string) []int {
+	var out []int
+	for dim, t := range l.Align.Map[array] {
+		if d := l.Dist[t]; d.Kind != Star && d.Procs > 1 {
+			out = append(out, dim)
+		}
+	}
+	return out
+}
+
+// checkAgainstBaseline compares every key and placement query of l with
+// its baseline; "ghost" stands for an array the alignment does not know.
+func checkAgainstBaseline(t testing.TB, l *Layout) {
+	t.Helper()
+	for _, d := range l.Dist {
+		if got, want := d.String(), dimDistStringBaseline(d); got != want {
+			t.Errorf("DimDist%+v.String() = %q, baseline %q", d, got, want)
+		}
+	}
+	if got, want := l.Key(), keyBaseline(l); got != want {
+		t.Errorf("Key() = %q, baseline %q", got, want)
+	}
+	if got, want := l.FullKey(), fullKeyBaseline(l); got != want {
+		t.Errorf("FullKey() = %q, baseline %q", got, want)
+	}
+	for _, a := range append(l.Align.Arrays(), "ghost") {
+		if got, want := l.ArrayKey(a), arrayKeyBaseline(l, a); got != want {
+			t.Errorf("ArrayKey(%s) = %q, baseline %q", a, got, want)
+		}
+		want := distributedDimsBaseline(l, a)
+		if got := l.DistributedDims(a); !slices.Equal(got, want) {
+			t.Errorf("DistributedDims(%s) = %v, baseline %v", a, got, want)
+		}
+		for dim := 0; dim <= len(l.Align.Map[a]); dim++ {
+			if got, want := l.IsDistributed(a, dim), slices.Contains(want, dim); got != want {
+				t.Errorf("IsDistributed(%s, %d) = %v, baseline %v", a, dim, got, want)
+			}
+		}
+	}
+}
+
+// fuzzLayout decodes bytes into a valid layout: template rank 1-4, up to
+// five arrays each embedded injectively, any distribution format.
+func fuzzLayout(data []byte) *Layout {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	rank := 1 + next()%4
+	tpl := Template{Extents: make([]int, rank)}
+	dist := make([]DimDist, rank)
+	for t := range dist {
+		tpl.Extents[t] = 8 + next()
+		switch Kind(next() % 4) {
+		case Star:
+			dist[t] = DimDist{Kind: Star, Procs: 1}
+		case Block:
+			dist[t] = DimDist{Kind: Block, Procs: 1 + next()%64}
+		case Cyclic:
+			dist[t] = DimDist{Kind: Cyclic, Procs: 1 + next()%64}
+		case BlockCyclic:
+			dist[t] = DimDist{Kind: BlockCyclic, Procs: 1 + next()%64, Size: 1 + next()%16}
+		}
+	}
+	a := NewAlignment()
+	for i, n := 0, next()%6; i < n; i++ {
+		perm := rand.New(rand.NewSource(int64(next()))).Perm(rank)
+		a.Set(fmt.Sprintf("a%d", next()%8), perm[:1+next()%rank])
+	}
+	return MustLayout(tpl, a, dist)
+}
+
+func FuzzKeysMatchBaseline(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 24, 1, 3, 24, 2, 7, 3, 0, 0, 1, 1, 1, 1, 2, 2, 1})
+	f.Add([]byte{3, 9, 3, 5, 2, 9, 0, 9, 1, 63, 9, 2, 1, 5, 4, 3, 3, 2, 2, 7, 1, 1, 0, 6, 6, 6, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := fuzzLayout(data)
+		checkAgainstBaseline(t, l)
+		m := fuzzLayout(append([]byte{byte(l.Template.Rank() - 1)}, data...))
+		for _, a := range append(l.Align.Arrays(), "ghost") {
+			if got, want := SameArrayPlacement(l, m, a), arrayKeyBaseline(l, a) == arrayKeyBaseline(m, a); got != want {
+				t.Errorf("SameArrayPlacement(%s) = %v between %s and %s, ArrayKey baseline says %v", a, got, l, m, want)
+			}
+		}
+	})
+}
+
+// TestKeyAllocs pins what rendering a key costs: the string, and at
+// most one growth of the buffer for a key longer than keyBuf.
+func TestKeyAllocs(t *testing.T) {
+	l := rowLayout(64, 8, "a", "b", "c", "x", "y")
+	l.IsDistributed("x", 0) // derives the placement
+	for name, fn := range map[string]func() string{"Key": l.Key, "FullKey": l.FullKey} {
+		if n := testing.AllocsPerRun(100, func() { fn() }); n > 2 {
+			t.Errorf("%s allocates %v times, want <= 2", name, n)
+		}
+	}
+	m := colLayout(64, 8, "a", "b", "c", "x", "y")
+	if n := testing.AllocsPerRun(100, func() {
+		SameArrayPlacement(l, m, "x")
+		l.IsDistributed("x", 0)
+		_ = l.DistributedDims("y")
+	}); n != 0 {
+		t.Errorf("placement queries allocate %v times, want 0", n)
+	}
+}
+
+// TestAlignmentSetDropsSortedView: the name-ordered view an alignment
+// keeps for its layouts follows every Set.
+func TestAlignmentSetDropsSortedView(t *testing.T) {
+	a := canonical2D("x", "b")
+	if got := a.Arrays(); !slices.Equal(got, []string{"b", "x"}) {
+		t.Fatalf("Arrays() = %v", got)
+	}
+	a.Set("a", []int{1, 0})
+	a.Set("x", []int{1})
+	if got := a.Arrays(); !slices.Equal(got, []string{"a", "b", "x"}) {
+		t.Fatalf("Arrays() after Set = %v", got)
+	}
+	l := MustLayout(Template{Extents: []int{8, 8}}, a, []DimDist{{Kind: Star, Procs: 1}, {Kind: Block, Procs: 4}})
+	checkAgainstBaseline(t, l)
+	if c := a.Clone(); !slices.Equal(c.Arrays(), a.Arrays()) || c.Of("x", 0) != 1 {
+		t.Errorf("clone holds %v", c)
+	}
+}
+
+// TestLayoutFrozenAfterFirstUse states the contract the derived
+// placement rests on: a layout's placement queries read a view derived
+// once, on first use, so a layout is edited by cloning it — the clone
+// derives its own view from what it holds at its first use.
+func TestLayoutFrozenAfterFirstUse(t *testing.T) {
+	l := rowLayout(64, 8, "x")
+	c := l.Clone() // cloned before either is used
+	c.Align.Set("y", []int{1, 0})
+	c.Dist[0], c.Dist[1] = c.Dist[1], c.Dist[0]
+	checkAgainstBaseline(t, l)
+	checkAgainstBaseline(t, c)
+	if l.Key() == c.Key() || len(c.DistributedDims("y")) != 1 {
+		t.Errorf("clone %s did not pick up its edits (original %s)", c, l)
+	}
+	// A clone of a used layout starts over too.
+	d := c.Clone()
+	d.Align.Set("z", []int{0})
+	checkAgainstBaseline(t, d)
+	// Concurrent first use is safe (meaningful under -race).
+	e := l.Clone()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e.FullKey() != l.FullKey() || !e.IsDistributed("x", 0) {
+				t.Error("concurrent first use saw a half-built placement")
+			}
+		}()
+	}
+	wg.Wait()
 }

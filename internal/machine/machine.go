@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/fortran"
 )
@@ -133,11 +134,27 @@ type opKey struct {
 }
 
 // Model is a machine performance model backed by training-set tables.
+// A model is immutable once built (it has no mutator and Sets copies),
+// so the built-in models are shared; do not copy a Model by value.
 type Model struct {
 	name    string
 	ops     map[opKey]float64
 	sets    map[setKey][]TrainingSet // sorted by Procs
 	numSets int
+
+	keyOnce sync.Once
+	key     string
+}
+
+// ContentKey returns derive(m), computed on the first call and kept in
+// the model — in the model, not in a table keyed by model pointer: a
+// request that brings its own table builds a fresh model, and its key
+// must go when the model does.  The content-hash key of a model
+// (artifact.MachineKey, which this package cannot import) serializes
+// the whole table; every request reads it several times.
+func (m *Model) ContentKey(derive func(*Model) string) string {
+	m.keyOnce.Do(func() { m.key = derive(m) })
+	return m.key
 }
 
 // Name returns the model name.
@@ -374,38 +391,40 @@ func synthesize(p params, pat Pattern, procs int, str Stride, lat Latency) Train
 	return ts
 }
 
+// The built-in models are synthesized once and shared by every caller.
+
 // IPSC860 returns the synthesized Intel iPSC/860 model: ≈75 µs
 // unoverlapped message start-up, ≈35 µs overlapped, ≈2.8 MB/s links,
 // buffering at ≈0.15 µs/byte, and if77 -O4-class scalar times for the
 // 40 MHz i860.
-func IPSC860() *Model {
-	return build(params{
-		name:        "iPSC/860",
-		startupHigh: 75,
-		startupLow:  48,
-		perByte:     0.36, // ≈2.8 MB/s
-		packPerByte: 0.15,
-		packStartup: 20,
-		// addsub, mul, div, sqrt, intrinsic, pow, load, store (µs, DP)
-		opsDouble: [8]float64{0.15, 0.15, 0.95, 1.70, 3.50, 3.00, 0.05, 0.05},
-		spFactor:  0.80,
-	})
-}
+func IPSC860() *Model { return ipsc860 }
+
+var ipsc860 = build(params{
+	name:        "iPSC/860",
+	startupHigh: 75,
+	startupLow:  48,
+	perByte:     0.36, // ≈2.8 MB/s
+	packPerByte: 0.15,
+	packStartup: 20,
+	// addsub, mul, div, sqrt, intrinsic, pow, load, store (µs, DP)
+	opsDouble: [8]float64{0.15, 0.15, 0.95, 1.70, 3.50, 3.00, 0.05, 0.05},
+	spFactor:  0.80,
+})
 
 // Paragon returns the synthesized Intel Paragon XP/S model: lower
 // latency, an order of magnitude more bandwidth, i860 XP nodes.
-func Paragon() *Model {
-	return build(params{
-		name:        "Paragon",
-		startupHigh: 50,
-		startupLow:  22,
-		perByte:     0.012, // ≈85 MB/s
-		packPerByte: 0.08,
-		packStartup: 12,
-		opsDouble:   [8]float64{0.11, 0.11, 0.75, 1.30, 2.80, 2.40, 0.04, 0.04},
-		spFactor:    0.80,
-	})
-}
+func Paragon() *Model { return paragon }
+
+var paragon = build(params{
+	name:        "Paragon",
+	startupHigh: 50,
+	startupLow:  22,
+	perByte:     0.012, // ≈85 MB/s
+	packPerByte: 0.08,
+	packStartup: 12,
+	opsDouble:   [8]float64{0.11, 0.11, 0.75, 1.30, 2.80, 2.40, 0.04, 0.04},
+	spFactor:    0.80,
+})
 
 // Cluster2020 returns a synthesized modern commodity cluster
 // (RDMA-class interconnect, superscalar nodes): ≈2 µs message
@@ -415,16 +434,16 @@ func Paragon() *Model {
 // fine-grain pipelines stop being catastrophic and remapping is nearly
 // free, so layout choices that were dramatic on the iPSC/860 become
 // ties.
-func Cluster2020() *Model {
-	return build(params{
-		name:        "Cluster2020",
-		startupHigh: 2.0,
-		startupLow:  1.2,
-		perByte:     0.0001, // ≈10 GB/s
-		packPerByte: 0.0004,
-		packStartup: 0.5,
-		// addsub, mul, div, sqrt, intrinsic, pow, load, store (µs, DP)
-		opsDouble: [8]float64{0.0008, 0.0008, 0.004, 0.006, 0.02, 0.015, 0.0005, 0.0005},
-		spFactor:  0.70,
-	})
-}
+func Cluster2020() *Model { return cluster2020 }
+
+var cluster2020 = build(params{
+	name:        "Cluster2020",
+	startupHigh: 2.0,
+	startupLow:  1.2,
+	perByte:     0.0001, // ≈10 GB/s
+	packPerByte: 0.0004,
+	packStartup: 0.5,
+	// addsub, mul, div, sqrt, intrinsic, pow, load, store (µs, DP)
+	opsDouble: [8]float64{0.0008, 0.0008, 0.004, 0.006, 0.02, 0.015, 0.0005, 0.0005},
+	spFactor:  0.70,
+})

@@ -198,3 +198,22 @@ func TestCluster2020Relations(t *testing.T) {
 		t.Errorf("startup/flop ratio should grow: %v vs %v", ratioNew, ratioOld)
 	}
 }
+
+// TestBuiltInsSharedAndKeyedOnce: the built-in models are singletons
+// (a Model has no mutator, and Sets hands out copies), and ContentKey
+// runs its derivation once per model and keeps the result in it.
+func TestBuiltInsSharedAndKeyedOnce(t *testing.T) {
+	if IPSC860() != IPSC860() || Paragon() != Paragon() || Cluster2020() != Cluster2020() {
+		t.Fatal("a built-in model was rebuilt")
+	}
+	sets := IPSC860().Sets()
+	sets[0].Startup = -1
+	if IPSC860().Sets()[0].Startup < 0 {
+		t.Fatal("Sets exposes the shared model's table")
+	}
+	m, calls := &Model{name: "private"}, 0 // not a shared model: the count below is this test's alone
+	derive := func(m *Model) string { calls++; return "key of " + m.Name() }
+	if a, b := m.ContentKey(derive), m.ContentKey(derive); a != "key of private" || b != a || calls != 1 {
+		t.Errorf("ContentKey = %q then %q after %d derivations, want one", a, b, calls)
+	}
+}

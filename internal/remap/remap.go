@@ -41,22 +41,27 @@ const (
 
 // Classify determines the remapping kind for one array.
 func Classify(from, to *layout.Layout, array string) Kind {
+	// The layouts answer these from the placement each derived once.
+	if layout.SameArrayPlacement(from, to, array) {
+		return NoMove
+	}
+	fromDist, toDist := len(from.DistributedDims(array)) > 0, len(to.DistributedDims(array)) > 0
+	if fromDist && toDist {
+		return AllToAll
+	}
+	// Without distributed dimensions on one side, the array may be
+	// replicated there or unknown to that layout; only here does the
+	// alignment itself have to say which.
 	if _, ok := from.Align.Map[array]; !ok {
 		return NoMove
 	}
 	if _, ok := to.Align.Map[array]; !ok {
 		return NoMove
 	}
-	if layout.SameArrayPlacement(from, to, array) {
-		return NoMove
-	}
-	if len(from.DistributedDims(array)) == 0 {
+	if !fromDist {
 		return FreeCopy
 	}
-	if len(to.DistributedDims(array)) == 0 {
-		return AllGather
-	}
-	return AllToAll
+	return AllGather
 }
 
 // Moved returns the arrays (from the given set, sorted) whose data must
