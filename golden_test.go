@@ -58,15 +58,14 @@ func goldenRender(res *core.Result) string {
 	return b.String()
 }
 
-func TestGoldenCorpus(t *testing.T) {
+// goldenCorpus is the 7-program corpus the golden files pin.
+func goldenCorpus(t *testing.T) []struct{ name, src string } {
+	t.Helper()
 	adi128, err := os.ReadFile(filepath.Join("testdata", "adi128.f"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := []struct {
-		name string
-		src  string
-	}{
+	return []struct{ name, src string }{
 		{"adi", programs.Adi(48, fortran.Double)},
 		{"erlebacher", programs.Erlebacher(16, fortran.Double)},
 		{"tomcatv", programs.Tomcatv(32, fortran.Double)},
@@ -75,7 +74,10 @@ func TestGoldenCorpus(t *testing.T) {
 		{"quickstart", exampleSource(t, "quickstart")},
 		{"conflict", exampleSource(t, "conflict")},
 	}
-	for _, tc := range corpus {
+}
+
+func TestGoldenCorpus(t *testing.T) {
+	for _, tc := range goldenCorpus(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			var renders []string
 			for _, workers := range []int{1, 8} {

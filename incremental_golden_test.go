@@ -11,12 +11,15 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fortran"
+	"repro/internal/machine"
 	"repro/internal/pcfg"
 	"repro/internal/programs"
+	"repro/internal/stage"
 )
 
 func TestIncrementalGoldenParity(t *testing.T) {
@@ -67,6 +70,55 @@ func TestIncrementalGoldenParity(t *testing.T) {
 				}
 				if warm.Incremental.Edits != int64(i+1) {
 					t.Errorf("edit %d: incremental edit counter = %d", i, warm.Incremental.Edits)
+				}
+			}
+		})
+	}
+}
+
+// TestRepostGoldenParity: re-posting the source a session was last
+// given — the daemon re-pricing a program at another processor count or
+// on another machine — skips the front half and still renders and
+// chooses exactly
+// what a cold core.Analyze does, at every paper processor count on both
+// paper machines.  A fresh copy of the source re-posts too: the match
+// is by bytes, not by pointer.
+func TestRepostGoldenParity(t *testing.T) {
+	for _, tc := range goldenCorpus(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			sess, err := core.NewSession(ctx, core.Input{Source: tc.src}, core.Options{Procs: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Update(ctx, tc.src, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*machine.Model{machine.IPSC860(), machine.Paragon()} {
+				for _, procs := range []int{2, 4, 8, 16, 32} {
+					opt := core.Options{Procs: procs, Machine: m, Verify: core.VerifyOn}
+					cold, err := core.Analyze(ctx, core.Input{Source: tc.src}, opt)
+					if err != nil {
+						t.Fatalf("%s procs %d: cold Analyze: %v", m.Name(), procs, err)
+					}
+					for _, src := range []string{tc.src, string([]byte(tc.src))} {
+						warm, err := sess.Update(ctx, src, opt)
+						if err != nil {
+							t.Fatalf("%s procs %d: Update: %v", m.Name(), procs, err)
+						}
+						if got := warm.Incremental.Stages[stage.Parse]; got != (core.StageReuse{Reused: 1}) {
+							t.Errorf("%s procs %d: parse = %+v, want reused", m.Name(), procs, got)
+						}
+						if !slices.Equal(warm.Selection.Choice, cold.Selection.Choice) {
+							t.Errorf("%s procs %d: re-post chose %v, cold Analyze %v",
+								m.Name(), procs, warm.Selection.Choice, cold.Selection.Choice)
+						}
+						if got, want := goldenRender(warm), goldenRender(cold); got != want {
+							t.Fatalf("%s procs %d: re-post diverged from cold Analyze:\n--- re-post ---\n%s\n--- cold ---\n%s",
+								m.Name(), procs, got, want)
+						}
+					}
 				}
 			}
 		})

@@ -9,7 +9,8 @@ package core
 // oracle; it lives in incremental_test.go.)
 //
 // Reuse is never trust: a previous-run artifact is served only when
-// its content key re-derives identically from the *new* source, memo
+// its content key re-derives identically from the *new* source (or the
+// new source is byte-identical to the last one it was served for), memo
 // hits re-certify like fresh solves when verification is on, and the
 // final Certify pass re-derives every cost from the models.  The
 // stage.IncrementalInvalidate fault site sits on every reuse-admission
@@ -37,8 +38,10 @@ type StageReuse struct {
 // granularity is per-artifact, per stage: dep counts phase dependence
 // infos, align-solve counts 0-1 resolutions, pricing counts shared
 // (L2) candidate lookups, selection the one shared selection lookup.
-// Parse and space-build always replay (parsing is how an edit is
-// detected; spaces are cheap cross products rebuilt per run).
+// Parse replays unless the source is byte-identical to the one the
+// session's last Update was given (parsing is otherwise how an edit is
+// detected); space-build always replays (spaces are cheap cross
+// products rebuilt per run).
 type IncrementalSummary struct {
 	// Edits is the number of Update calls this session has served
 	// (1 on the first Update's Result, and so on).
@@ -86,13 +89,15 @@ type frontState struct {
 
 // incrementalRun is the session's context for one front-half run,
 // passed to front and the stage functions: the previous snapshot to
-// reuse from (nil in NewSession), the alignment memo (nil when the run
+// reuse from (nil in NewSession), the source the session's last Update
+// was given ("" before the first), the alignment memo (nil when the run
 // is not memo-eligible) and the replay/reuse counters.  A nil receiver
 // is valid everywhere (the cold path) and disables all incremental
 // behaviour.
 type incrementalRun struct {
-	prev *frontState
-	memo *memo[string, *cag.Resolution]
+	prev   *frontState
+	posted string
+	memo   *memo[string, *cag.Resolution]
 
 	mu     sync.Mutex
 	stages map[string]StageReuse
@@ -106,6 +111,13 @@ func (inc *incrementalRun) prevDep(decls artifact.Key) *depArtifact {
 		return nil
 	}
 	return inc.prev.dep
+}
+
+// reposted reports whether src is byte-identical to the source the
+// session's last Update was given, so the previous snapshot answers it
+// as is.
+func (inc *incrementalRun) reposted(src string) bool {
+	return inc != nil && inc.posted != "" && inc.posted == src
 }
 
 // admitReuse is the reuse-admission gate: every previous-run artifact

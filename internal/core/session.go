@@ -43,10 +43,13 @@ type Session struct {
 	// Edit-carry state: the alignment-resolution memo (seeded by
 	// NewSession, so the very first Update already reuses the unchanged
 	// phases' resolutions), the session-owned shared cache injected when
-	// the caller brings none, and the Update counter.
+	// the caller brings none, the Update counter, and the source the
+	// last successful Update was given ("" before the first: a session's
+	// first Update always parses, whatever NewSession was built from).
 	memo    memo[string, *cag.Resolution]
 	carried *SharedCache
 	edits   int64
+	posted  string
 }
 
 // snapshot returns the current immutable front-half state.
@@ -78,14 +81,15 @@ func (s *Session) effective(opt Options) (Options, error) {
 }
 
 // frontRun is the session's context for one front-half run over prev
-// (nil in NewSession).  The alignment memo requires a fully
-// content-determined solve, the same precondition selection reuse
-// applies: a wall-clock budget or a caller-tuned solver can change the
-// outcome, and an armed fault plan must reach the solver's injection
-// sites.  Memoization never changes a result: only proven-optimal
-// resolutions are stored, keyed by the full graph content.
+// (nil in NewSession); the caller holds s.mu.  The alignment memo
+// requires a fully content-determined solve, the same precondition
+// selection reuse applies: a wall-clock budget or a caller-tuned solver
+// can change the outcome, and an armed fault plan must reach the
+// solver's injection sites.  Memoization never changes a result: only
+// proven-optimal resolutions are stored, keyed by the full graph
+// content.
 func (s *Session) frontRun(opt Options, prev *frontState) *incrementalRun {
-	inc := &incrementalRun{prev: prev}
+	inc := &incrementalRun{prev: prev, posted: s.posted}
 	if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
 		inc.memo = &s.memo
 	}
@@ -132,24 +136,27 @@ func (s *Session) Analyze(ctx context.Context, opt Options) (res *Result, err er
 	return backAnalyze(ctx, start, opt, s.snapshot(), stage.Timings{})
 }
 
-// Update re-analyzes an edited version of the session's program.  It
-// parses src, diffs the resulting phase list against the previous
-// run's per-phase artifact keys, and replays only the artifacts
-// downstream of the changed phases: unchanged phases reuse their
-// dependence info by key, their 0-1 alignment resolutions through the
-// session memo, and their candidate pricings, remap costs and the
+// Update re-analyzes an edited version of the session's program.  A
+// re-post — src byte-identical to the source the last successful Update
+// was given — is served the current snapshot without parsing.
+// Otherwise Update parses src, diffs the resulting phase list against
+// the previous run's per-phase artifact keys, and replays only the
+// artifacts downstream of the changed phases: unchanged phases reuse
+// their dependence info by key, their 0-1 alignment resolutions through
+// the session memo, and their candidate pricings, remap costs and the
 // selection solve through the session-carried shared cache (installed
 // when the caller injects none).  The returned Result is byte-identical
 // to a cold core.Analyze of src with the effective options, and its
 // Incremental summary reports per-stage replayed-vs-reused counts.
 //
-// Reused artifacts are never trusted blindly: reuse requires the
-// content key to re-derive identically from the new source, memo and
-// cache hits re-certify when verification is on, and the final Certify
-// pass re-derives every claimed cost from the models.  Option merging
-// follows Analyze (front-half options pinned, Procs/Machine inherited).
-// Update calls serialize on the session; concurrent Analyze calls keep
-// reading the previous snapshot until Update swaps in the new one.
+// Reused artifacts are never trusted blindly: reuse requires the source
+// bytes to match or the content key to re-derive identically from the
+// new source, memo and cache hits re-certify when verification is on,
+// and the final Certify pass re-derives every claimed cost from the
+// models.  Option merging follows Analyze (front-half options pinned,
+// Procs/Machine inherited).  Update calls serialize on the session;
+// concurrent Analyze calls keep reading the previous snapshot until
+// Update swaps in the new one.
 func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Result, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
@@ -183,7 +190,7 @@ func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Res
 	if err != nil {
 		return nil, err
 	}
-	s.st = st
+	s.st, s.posted = st, src
 	s.edits++
 	inc.finish(res, s.edits)
 	return res, nil

@@ -27,6 +27,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"unicode"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -90,17 +91,33 @@ func familyKey(src string, opt core.Options) artifact.Key {
 }
 
 // programName extracts the name from the head `program <name>` line
-// with a plain text scan — no parse, no allocation beyond the fields.
-// A source without one (or with a name this scan misses) lands in the
-// anonymous family "": still correct, just less reuse locality.
+// with a plain text scan, line by line — no parse, no line or field
+// slices; only the lower-cased name may allocate.  A source without
+// one (or with a name this scan misses) lands in the anonymous family
+// "": still correct, just less reuse locality.
 func programName(src string) string {
-	for _, line := range strings.Split(src, "\n") {
-		f := strings.Fields(line)
-		if len(f) >= 2 && strings.EqualFold(f[0], "program") {
-			return strings.ToLower(f[1])
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		word, tail := firstField(line)
+		if !strings.EqualFold(word, "program") {
+			continue
+		}
+		if name, _ := firstField(tail); name != "" {
+			return strings.ToLower(name)
 		}
 	}
 	return ""
+}
+
+// firstField returns s's first whitespace-separated field (as
+// strings.Fields splits) and the text after it.
+func firstField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // sessionTable is the bounded LRU of live sessions.
