@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -334,7 +333,7 @@ func identicalSweeps(phases int) string {
 	return b.String()
 }
 
-// parBenchOptions is the configuration both pipeline benchmarks share:
+// parBenchOptions is the configuration of the cache benchmark:
 // extended distribution spaces (18 candidates per rank-3 phase on 16
 // processors) and the exact elimination DP for selection, so candidate
 // pricing dominates the run the way it does on real inputs.
@@ -342,55 +341,7 @@ func parBenchOptions() core.Options {
 	return core.Options{Procs: 16, Cyclic: true, MultiDim: true, UseDP: true}
 }
 
-// BenchmarkAutoLayoutSeq is the pre-pipeline baseline: one worker and
-// no memoization, i.e. the strictly sequential evaluation the tool
-// used to run.
-func BenchmarkAutoLayoutSeq(b *testing.B) {
-	src := identicalSweeps(12)
-	opt := parBenchOptions()
-	opt.Workers, opt.NoCache = 1, true
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(context.Background(), core.Input{Source: src}, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAutoLayoutPar is the concurrent cached pipeline on the same
-// input: at least 4 workers plus pricing/remap memoization.  Metrics
-// report the cache hit rates; the final iteration's output is checked
-// byte-identical against the sequential baseline.
-func BenchmarkAutoLayoutPar(b *testing.B) {
-	src := identicalSweeps(12)
-	opt := parBenchOptions()
-	opt.Workers = runtime.NumCPU()
-	if opt.Workers < 4 {
-		opt.Workers = 4
-	}
-	var res *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.Analyze(context.Background(), core.Input{Source: src}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(res.Cache.Pricing.HitRate()*100, "price-hit-%")
-	b.ReportMetric(res.Cache.Remap.HitRate()*100, "remap-hit-%")
-	seqOpt := parBenchOptions()
-	seqOpt.Workers, seqOpt.NoCache = 1, true
-	seq, err := core.Analyze(context.Background(), core.Input{Source: src}, seqOpt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.EmitHPF()+res.Explain() != seq.EmitHPF()+seq.Explain() {
-		b.Fatal("parallel pipeline output differs from the sequential baseline")
-	}
-}
-
-// BenchmarkCacheEffectiveness isolates the memoization layer from the
-// worker pool: the same single-worker pipeline with and without the
+// BenchmarkCacheEffectiveness times the pipeline with and without the
 // pricing/remap caches.  The gap between the two sub-benchmarks is the
 // pure cache win on inputs with repeated phase computations.
 func BenchmarkCacheEffectiveness(b *testing.B) {
@@ -401,7 +352,7 @@ func BenchmarkCacheEffectiveness(b *testing.B) {
 	}{{"cached", false}, {"uncached", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			opt := parBenchOptions()
-			opt.Workers, opt.NoCache = 1, mode.noCache
+			opt.NoCache = mode.noCache
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	autolayout -procs 16 [-machine ipsc860|paragon] [-j N] [-spaces] [file.f]
+//	autolayout -procs 16 [-machine ipsc860|paragon] [-spaces] [file.f]
 //
 // With no file argument the program is read from standard input.  The
 // -spaces flag dumps each phase's explicit candidate search space —
@@ -93,7 +93,6 @@ func main() {
 	guess := flag.Bool("guess-probs", false, "ignore !prob annotations (always guess 50%)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the 0-1 solves; on expiry the tool degrades to the best feasible answer (0 = none)")
 	strict := flag.Bool("strict", false, "fail instead of degrading when a 0-1 solve is cut off")
-	workers := flag.Int("j", 0, "worker goroutines for the evaluation pipeline (0 = all CPUs, 1 = sequential; output is identical either way)")
 	noCache := flag.Bool("no-cache", false, "disable pricing/remapping memoization")
 	storeDir := flag.String("store", "", "persist solved layout selections to this directory (crash-safe L3 store; later runs skip the 0-1 solve)")
 	stats := flag.Bool("stats", false, "report the run's counters (stage times, cache hit rates, solver effort) as one machine-readable JSON line — the same struct layoutd's /metrics serves")
@@ -136,7 +135,6 @@ func main() {
 		IgnoreProbHints: *guess,
 		TimeoutMS:       timeout.Milliseconds(),
 		Strict:          *strict,
-		Workers:         *workers,
 		NoCache:         *noCache,
 		Verify:          *doVerify,
 	}

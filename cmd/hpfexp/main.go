@@ -27,11 +27,9 @@ func main() {
 	all := flag.Bool("all", false, "reproduce every figure and table")
 	csv := flag.Bool("csv", false, "emit figure series as CSV (figures 4-7)")
 	timeout := flag.Duration("timeout", 0, "per-case wall-clock budget for the 0-1 solves in -table summary/cases; expired cases degrade gracefully (0 = none)")
-	jobs := flag.Int("j", 0, "worker goroutines per case's evaluation pipeline (0 = all CPUs; results are identical for any value)")
 	flag.Parse()
 	emitCSV = *csv
 	solveTimeout = *timeout
-	workers = *jobs
 
 	if *all {
 		for _, f := range []int{2, 3, 4, 5, 6, 7, 8} {
@@ -68,14 +66,11 @@ func main() {
 var (
 	emitCSV      bool
 	solveTimeout time.Duration
-	workers      int
 )
 
-// withTimeout applies the -timeout budget and -j worker count to one
-// case run.
+// withTimeout applies the -timeout budget to one case run.
 func withTimeout(o *core.Options) {
 	o.Timeout = solveTimeout
-	o.Workers = workers
 }
 
 func render(f *experiments.Figure) {

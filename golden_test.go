@@ -1,7 +1,7 @@
 // Golden end-to-end regression corpus: for each program in the corpus
 // the expected data layout and cost live under testdata/golden/, and
-// every run — at Workers=1 and Workers=8 — must reproduce them byte
-// for byte.  A behavior change that shifts a layout or a cost shows up
+// every run — at Workers=1 and Workers=8, a field the pipeline ignores
+// — must reproduce them byte for byte.  A behavior change that shifts a layout or a cost shows up
 // as a readable golden diff instead of a silently different answer.
 //
 // Regenerate after an intentional change with:

@@ -18,7 +18,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/layout"
 	"repro/internal/lp"
-	"repro/internal/par"
 	"repro/internal/pcfg"
 	"repro/internal/stage"
 	"repro/internal/verify"
@@ -36,11 +35,8 @@ type Options struct {
 	// may be shared by concurrent resolutions: Solve only reads its
 	// configuration, and every resolution builds its own problem.
 	Solver *ilp.Solver
-	// Workers bounds the goroutines used for the independent 0-1
-	// resolutions (per-phase conflicts, class optima, imports) and the
-	// per-phase candidate projection (0 ⇒ runtime.NumCPU()).  Results
-	// are merged in a fixed order, so any worker count produces the
-	// same Spaces.
+	// Workers is accepted for compatibility; the construction runs on
+	// the calling goroutine.
 	Workers int
 	// Verify enables independent certification of every resolution:
 	// legality of the assignment (orientation completeness, type-2
@@ -73,7 +69,6 @@ func (o Options) defaults() Options {
 	if o.ImportScale == 0 {
 		o.ImportScale = 1000
 	}
-	o.Workers = par.Workers(o.Workers)
 	return o
 }
 
@@ -196,12 +191,9 @@ type Spaces struct {
 //     search space (scale, merge, re-resolve, restrict, ⊑-dedup);
 //  4. project class candidates onto per-phase candidate alignments.
 //
-// The 0-1 resolutions of steps 1 and 3 and the per-class optima are
-// mutually independent, so they fan out over Options.Workers
-// goroutines; their stats, degradations and candidates are merged back
-// in the order the sequential algorithm would have produced them, so
-// the returned Spaces is identical for every worker count.  A canceled
-// ctx aborts the construction between solves.
+// Every resolution is recorded as it is produced, so Stats and
+// Degradations follow the order of the steps above.  A canceled ctx
+// aborts the construction between solves.
 func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, infos map[int]*dep.PhaseInfo, opt Options) (*Spaces, error) {
 	opt = opt.defaults()
 	d := u.MaxRank()
@@ -214,48 +206,43 @@ func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, info
 		TemplateRank: d,
 	}
 
-	// One lp.Workspace per worker slot: par.DoWorker guarantees a slot
-	// runs one job at a time, so each workspace is reused — warm starts
-	// and buffer reuse — without locks.  Slots are allocated lazily:
-	// greedy mode and conflict-free phases never touch them.
-	wss := make([]*lp.Workspace, opt.Workers)
-	wsFor := func(w int) *lp.Workspace {
-		if wss[w] == nil {
-			wss[w] = lp.NewWorkspace()
+	// One lp.Workspace, created at the first resolution, serves every
+	// 0-1 solve of the call: warm starts and buffer reuse.  resolve
+	// records each resolution as it is produced.
+	var ws *lp.Workspace
+	resolve := func(cg *cag.Graph, where string) (*cag.Resolution, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return wss[w]
+		if ws == nil {
+			ws = lp.NewWorkspace()
+		}
+		r, err := resolveOne(cg, d, opt, ws, where)
+		if err != nil {
+			return nil, fmt.Errorf("align: %s: %w", where, err)
+		}
+		sp.record(r)
+		return r.res, nil
 	}
 
-	// Step 1: per-phase conflict-free CAGs (independent solves).
+	// Step 1: per-phase conflict-free CAGs.
 	phaseCAG := map[int]*cag.Graph{}
-	phaseRes := make([]*resolution, len(g.Phases))
-	err := par.DoWorker(ctx, opt.Workers, len(g.Phases), func(w, i int) error {
-		ph := g.Phases[i]
+	for _, ph := range g.Phases {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		pg := BuildCAG(u, infos[ph.ID], ph.Freq)
 		if pg.HasConflict() {
-			r, err := resolveOne(pg, d, opt, wsFor(w), fmt.Sprintf("phase %d", ph.ID))
+			res, err := resolve(pg, fmt.Sprintf("phase %d", ph.ID))
 			if err != nil {
-				return fmt.Errorf("align: phase %d: %w", ph.ID, err)
+				return nil, err
 			}
-			pg = keptGraph(pg, r.res.Assignment)
-			phaseRes[i] = r
+			pg = keptGraph(pg, res.Assignment)
 		}
-		if phaseRes[i] == nil {
-			phaseRes[i] = &resolution{}
-		}
-		phaseRes[i].graph = pg
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, ph := range g.Phases {
-		sp.record(phaseRes[i])
-		phaseCAG[ph.ID] = phaseRes[i].graph
+		phaseCAG[ph.ID] = pg
 	}
 
-	// Step 2: greedy class partitioning in reverse postorder (cheap and
-	// inherently order-dependent: it stays sequential).
+	// Step 2: greedy class partitioning in reverse postorder.
 	for _, id := range g.ReversePostorder() {
 		pg := phaseCAG[id]
 		placed := false
@@ -282,69 +269,42 @@ func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, info
 		}
 	}
 
-	// Base candidate per class: the class CAG's own alignment
-	// (independent solves).
-	baseRes := make([]*resolution, len(sp.Classes))
-	err = par.DoWorker(ctx, opt.Workers, len(sp.Classes), func(w, i int) error {
-		c := sp.Classes[i]
-		r, err := resolveOne(c.CAG, d, opt, wsFor(w), fmt.Sprintf("class %d", c.ID))
+	// Base candidate per class: the class CAG's own alignment.
+	for _, c := range sp.Classes {
+		res, err := resolve(c.CAG, fmt.Sprintf("class %d", c.ID))
 		if err != nil {
-			return fmt.Errorf("align: class %d: %w", c.ID, err)
+			return nil, err
 		}
-		baseRes[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range sp.Classes {
-		sp.record(baseRes[i])
 		c.Cands = append(c.Cands, &Candidate{
-			Part:       baseRes[i].res.Aligned.Restrict(c.Arrays),
-			Assignment: restrictAssignment(baseRes[i].res.Assignment, c.Arrays),
+			Part:       res.Aligned.Restrict(c.Arrays),
+			Assignment: restrictAssignment(res.Assignment, c.Arrays),
 			Origin:     fmt.Sprintf("class %d optimal", c.ID),
 		})
 	}
 
-	// Step 3: imports between classes.  Every (sink, src) pair is an
-	// independent solve; only the ⊑-dedup against the sink's growing
-	// candidate list is order-dependent, so it runs afterwards in the
-	// sequential sink-major order.
-	type pair struct{ sink, src int }
-	var pairs []pair
-	for si := range sp.Classes {
-		for sj := range sp.Classes {
-			if si != sj {
-				pairs = append(pairs, pair{si, sj})
+	// Step 3: imports between classes, sink-major.  An import reads only
+	// the class CAGs, which are fixed after step 2, so each pair's solve
+	// can be followed at once by its ⊑-dedup against the sink's growing
+	// candidate list.
+	for _, sink := range sp.Classes {
+		for _, src := range sp.Classes {
+			if src == sink {
+				continue
 			}
-		}
-	}
-	importRes := make([]*resolution, len(pairs))
-	err = par.DoWorker(ctx, opt.Workers, len(pairs), func(w, i int) error {
-		sink, src := sp.Classes[pairs[i].sink], sp.Classes[pairs[i].src]
-		scaled := src.CAG.Clone()
-		scaled.ScaleWeights(opt.ImportScale)
-		merged := scaled.Merge(sink.CAG)
-		r, err := resolveOne(merged, d, opt, wsFor(w), fmt.Sprintf("import %d->%d", src.ID, sink.ID))
-		if err != nil {
-			return fmt.Errorf("align: import %d->%d: %w", src.ID, sink.ID, err)
-		}
-		importRes[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pr := range pairs {
-		sink, src := sp.Classes[pr.sink], sp.Classes[pr.src]
-		sp.record(importRes[i])
-		cand := &Candidate{
-			Part:       importRes[i].res.Aligned.Restrict(sink.Arrays),
-			Assignment: restrictAssignment(importRes[i].res.Assignment, sink.Arrays),
-			Origin:     fmt.Sprintf("imported from class %d", src.ID),
-		}
-		if !weakerOrEqual(cand, sink.Cands) {
-			sink.Cands = append(sink.Cands, cand)
+			scaled := src.CAG.Clone()
+			scaled.ScaleWeights(opt.ImportScale)
+			res, err := resolve(scaled.Merge(sink.CAG), fmt.Sprintf("import %d->%d", src.ID, sink.ID))
+			if err != nil {
+				return nil, err
+			}
+			cand := &Candidate{
+				Part:       res.Aligned.Restrict(sink.Arrays),
+				Assignment: restrictAssignment(res.Assignment, sink.Arrays),
+				Origin:     fmt.Sprintf("imported from class %d", src.ID),
+			}
+			if !weakerOrEqual(cand, sink.Cands) {
+				sink.Cands = append(sink.Cands, cand)
+			}
 		}
 	}
 
@@ -353,10 +313,10 @@ func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, info
 	// projections collapse), but the resulting alignment keeps the
 	// whole class's arrays so phases of one class place shared arrays
 	// consistently and transitions between them stay remap-free.
-	// Projections are independent per phase.
-	perPhase := make([][]*PhaseCandidate, len(g.Phases))
-	err = par.Do(ctx, opt.Workers, len(g.Phases), func(i int) error {
-		ph := g.Phases[i]
+	for _, ph := range g.Phases {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		c := sp.Classes[sp.PhaseClass[ph.ID]]
 		phaseArrays := map[string]bool{}
 		for _, a := range ph.Arrays {
@@ -387,32 +347,23 @@ func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, info
 				cands = append(cands, pc)
 			}
 		}
-		perPhase[i] = cands
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, ph := range g.Phases {
-		sp.PerPhase[ph.ID] = perPhase[i]
+		sp.PerPhase[ph.ID] = cands
 	}
 	return sp, nil
 }
 
-// resolution bundles one 0-1 solve's outputs so concurrent solves can
-// be merged back into the Spaces in a deterministic order.
+// resolution bundles one 0-1 solve's outputs: the resolution and, when
+// the solve was cut off by a budget, its degradation.
 type resolution struct {
-	res   *cag.Resolution
-	graph *cag.Graph // the phase's conflict-free CAG (step 1 only)
-	deg   *Degradation
+	res *cag.Resolution
+	deg *Degradation
 }
 
-// resolveOne dispatches to the ILP or greedy resolver.  It is pure with
-// respect to the Spaces under construction: stats and degradations
-// travel in the returned resolution and are recorded later, in
-// sequential order, by record.  The stage.AlignSolve fault site fires
-// here, and Options.Verify certifies the resolution — after any
-// injected corruption, so a corrupted resolution cannot escape.
+// resolveOne dispatches to the ILP or greedy resolver.  Stats and
+// degradations travel in the returned resolution for record to fold
+// into the Spaces.  The stage.AlignSolve fault site fires here, and
+// Options.Verify certifies the resolution — after any injected
+// corruption, so a corrupted resolution cannot escape.
 func resolveOne(g *cag.Graph, d int, opt Options, ws *lp.Workspace, where string) (*resolution, error) {
 	if err := opt.Fault.Err(stage.AlignSolve); err != nil {
 		return nil, err
@@ -484,9 +435,6 @@ func resolutionMemoKey(g *cag.Graph, d int, opt Options) string {
 
 // record folds one resolution's stats and degradation into the Spaces.
 func (sp *Spaces) record(r *resolution) {
-	if r == nil || r.res == nil {
-		return
-	}
 	if r.res.Stats.Vars > 0 {
 		sp.Stats = append(sp.Stats, r.res.Stats)
 	}

@@ -297,10 +297,9 @@ func TestPermutations(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterministic checks that every worker count merges the
-// concurrent 0-1 solves back in the sequential order: stats (modulo
-// wall-clock durations), class candidates and per-phase projections
-// must be identical.
+// TestWorkersDeterministic: Workers is accepted and ignored, so every
+// value builds the same Spaces: stats (modulo wall-clock durations),
+// class candidates and per-phase projections.
 func TestWorkersDeterministic(t *testing.T) {
 	u, g, infos := setup(t, tomcatvLike)
 	ref, err := BuildSearchSpaces(context.Background(), u, g, infos, Options{Workers: 1})

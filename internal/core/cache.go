@@ -161,10 +161,9 @@ func hashString(s string) uint64 {
 
 // interner is one run's identity table: equal strings get one ident, so
 // two phases with the same signature, or two candidates with the same
-// FullKey, share an id.  The pipeline fills it in sequential passes
-// before each fan-out (stagePricing, reselect), sized up front so that
-// what it allocates does not depend on the map's hash seed; the mutex
-// is for Result's public queries, which may run side by side.
+// FullKey, share an id.  stagePricing sizes it up front, so that what it
+// allocates does not depend on the map's hash seed; the mutex is for
+// Result's public queries, which may run side by side.
 type interner struct {
 	mu sync.Mutex
 	m  map[string]ident
@@ -253,9 +252,9 @@ type priced struct {
 // under the content key, which key builds only now), then compute,
 // filling every tier above the one that answered.  The on-disk store is not
 // consulted: a pricing or a transition costs less to recompute than a
-// record costs to read.  Two workers missing the same key concurrently
-// both compute it (the models are pure, so the duplicate work is
-// harmless and the values identical); both count as misses.
+// record costs to read.  Two runs sharing one SharedCache that miss the
+// same key concurrently both compute it (the models are pure, so the
+// duplicate work is harmless and the values identical).
 //
 // The cache-shared fault site fires on every L2 lookup (so chaos sweeps
 // exercise the layer even when cold) and its Corrupt action poisons the

@@ -12,7 +12,7 @@ import (
 
 // chaosOptions is the configuration every chaos run shares: verification
 // forced on (the invariant under test is "typed error or certified
-// result"), a real worker pool, a solver budget that bounds every 0-1
+// result"), a solver budget that bounds every 0-1
 // solve, a fresh shared cache so the cache-shared site is on the
 // visited path (a cold cache still performs lookups), and a fresh
 // on-disk store.
@@ -69,8 +69,7 @@ func typedChaosError(err error) bool {
 // The remaining sites either have no numeric product (parse, dep,
 // space-build) or cannot guarantee their corruption reaches the final
 // claims: cache-shared only perturbs values served from shared hits,
-// and in a cold run those are worker races that may land entirely off
-// the chosen path.  TestChaosSharedCachePoison warms the cache first,
+// and a cold run serves none.  TestChaosSharedCachePoison warms the cache first,
 // where every lookup hits, and asserts detection there.
 // store-read IS corruptible: the sweep warms the store first, so the
 // selection lookup is a disk hit and the injected corruption lands on
@@ -123,7 +122,7 @@ func TestChaosSweep(t *testing.T) {
 	const (
 		delay = 5 * time.Millisecond
 		// slack bounds a run whose injected delays are outside the solver
-		// budget (the fan-out stages sleep per hit, not per deadline).
+		// budget (the per-item stages sleep per hit, not per deadline).
 		slack = 15 * time.Second
 	)
 	for _, site := range stage.All {

@@ -54,7 +54,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/layoutgraph"
 	"repro/internal/machine"
-	"repro/internal/par"
 	"repro/internal/pcfg"
 	"repro/internal/stage"
 	"repro/internal/store"
@@ -134,13 +133,8 @@ type Options struct {
 	// fallen back to a suboptimal answer fails instead with a
 	// *StrictError naming the subsystem.
 	Strict bool
-	// Workers bounds the goroutines the candidate-evaluation pipeline
-	// fans out over: per-phase dependence analysis, the independent
-	// alignment 0-1 solves, search-space construction, candidate
-	// pricing and the transition-cost matrices.  0 means
-	// runtime.NumCPU(); 1 runs the whole pipeline sequentially.
-	// Results are merged in a fixed order, so every worker count
-	// produces byte-identical output.
+	// Workers is accepted for compatibility; the pipeline runs on the
+	// calling goroutine.  Validate still rejects a negative value.
 	Workers int
 	// NoCache disables every memoization layer — the per-run pricing
 	// and remapping caches and any injected shared cache — so each
@@ -207,8 +201,8 @@ func (o *Options) Validate() error {
 
 // withDefaults returns a copy with every optional field normalized:
 // nil machine ⇒ iPSC/860, DefaultTrip 0 ⇒ 100 (matching the PCFG's own
-// trip default), Workers 0 ⇒ runtime.NumCPU().  It is the single
-// defaulting path shared by Analyze, Session and the CLIs.
+// trip default).  It is the single defaulting path shared by Analyze,
+// Session and the CLIs.
 func (o Options) withDefaults() Options {
 	if o.Machine == nil {
 		o.Machine = machine.IPSC860()
@@ -216,7 +210,6 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTrip == 0 {
 		o.DefaultTrip = 100
 	}
-	o.Workers = par.Workers(o.Workers)
 	return o
 }
 

@@ -10,8 +10,7 @@ import (
 
 // ExampleAnalyze runs the complete framework on a small two-phase
 // program and prints the selected distribution and the pricing-cache
-// hit rate.  Options.Workers bounds the evaluation pipeline's
-// goroutines; any value produces identical results.
+// hit rate.
 func ExampleAnalyze() {
 	src := `
 program demo
@@ -29,10 +28,7 @@ program demo
   end do
 end
 `
-	res, err := core.Analyze(context.Background(), core.Input{Source: src}, core.Options{
-		Procs:   8,
-		Workers: 4,
-	})
+	res, err := core.Analyze(context.Background(), core.Input{Source: src}, core.Options{Procs: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -130,35 +131,40 @@ func TestPinnedCacheTraffic(t *testing.T) {
 	}
 }
 
-// TestIdentsFilledBeforeFanOut: the identity table is written only by
-// the sequential passes ahead of each fan-out, so a run at Workers 4
-// (meaningful under -race) hands out the ids a sequential run does, makes
-// as many lookups, and chooses the same layouts.  Only the hit/miss split
-// may differ: two workers that miss one key together both count a miss.
-func TestIdentsFilledBeforeFanOut(t *testing.T) {
-	seq, par := runPinned(t, 1), runPinned(t, 4)
-	for i, a := range seq {
-		b, pt := par[i], pinnedPoints[i]
-		if !slices.Equal(a.Selection.Choice, b.Selection.Choice) || a.TotalCost != b.TotalCost {
-			t.Errorf("%s/p%d: Workers 4 chose %v at %v, Workers 1 %v at %v", pt.program, pt.procs,
-				b.Selection.Choice, b.TotalCost, a.Selection.Choice, a.TotalCost)
-		}
-		for p, pr := range a.Phases {
-			if pr.sig != b.Phases[p].sig {
-				t.Errorf("%s/p%d phase %d: signature ident differs between worker counts", pt.program, pt.procs, p)
+// TestWorkersSelectNothing: the pipeline runs on the calling goroutine
+// whatever Workers says, so every worker count hands out the same ids,
+// chooses the same layouts, books exactly the same cache traffic and
+// answers with the same Response apart from timings.
+func TestWorkersSelectNothing(t *testing.T) {
+	response := func(r *Result) Response {
+		w := *NewResponse(r)
+		w.Selection.DurationUS, w.Stats.ElapsedUS, w.Stats.StageUS = 0, 0, nil
+		return w
+	}
+	ref := runPinned(t, 1)
+	for _, workers := range []int{0, 4, 8} {
+		for i, b := range runPinned(t, workers) {
+			a, pt := ref[i], pinnedPoints[i]
+			if !slices.Equal(a.Selection.Choice, b.Selection.Choice) || a.TotalCost != b.TotalCost {
+				t.Errorf("%s/p%d: Workers %d chose %v at %v, Workers 1 %v at %v", pt.program, pt.procs, workers,
+					b.Selection.Choice, b.TotalCost, a.Selection.Choice, a.TotalCost)
 			}
-			for c, cand := range pr.Candidates {
-				if cand.key != b.Phases[p].Candidates[c].key {
-					t.Errorf("%s/p%d phase %d candidate %d: ident %+v at Workers 1, %+v at Workers 4",
-						pt.program, pt.procs, p, c, cand.key, b.Phases[p].Candidates[c].key)
+			if a.Cache != b.Cache {
+				t.Errorf("%s/p%d: cache summary %+v at Workers %d, %+v at Workers 1", pt.program, pt.procs, b.Cache, workers, a.Cache)
+			}
+			if ra, rb := response(a), response(b); !reflect.DeepEqual(ra, rb) {
+				t.Errorf("%s/p%d: Workers %d answered %+v, Workers 1 %+v", pt.program, pt.procs, workers, rb, ra)
+			}
+			for p, pr := range a.Phases {
+				if pr.sig != b.Phases[p].sig {
+					t.Errorf("%s/p%d phase %d: signature ident differs at Workers %d", pt.program, pt.procs, p, workers)
 				}
-			}
-		}
-		for name, st := range map[string][2]CacheStats{
-			"pricing": {a.Cache.Pricing, b.Cache.Pricing}, "remap": {a.Cache.Remap, b.Cache.Remap},
-		} {
-			if st[0].Hits+st[0].Misses != st[1].Hits+st[1].Misses || st[1].Misses < st[0].Misses {
-				t.Errorf("%s/p%d: %s traffic %+v at Workers 1, %+v at Workers 4", pt.program, pt.procs, name, st[0], st[1])
+				for c, cand := range pr.Candidates {
+					if cand.key != b.Phases[p].Candidates[c].key {
+						t.Errorf("%s/p%d phase %d candidate %d: ident %+v at Workers 1, %+v at Workers %d",
+							pt.program, pt.procs, p, c, cand.key, b.Phases[p].Candidates[c].key, workers)
+					}
+				}
 			}
 		}
 	}

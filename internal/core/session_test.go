@@ -53,8 +53,7 @@ func goldenSources(t *testing.T) map[string]string {
 // NewSession + Update of the same source — share one front-half driver
 // and one tier walk, so on every golden program they agree on the
 // answer and on the number of distinct pricings and remaps evaluated
-// (the per-run miss counters the benchmark's replay is checked against;
-// sequential, because concurrent workers may both miss one key).
+// (the per-run miss counters the benchmark's replay is checked against).
 func TestSessionMatchesColdAnalyze(t *testing.T) {
 	ctx := context.Background()
 	sess, err := NewSession(ctx, Input{Source: adiSmall}, Options{Procs: 4})

@@ -30,8 +30,8 @@ type SharedCache struct {
 }
 
 // sharedShards is the lock-striping factor.  16 shards keep
-// contention negligible for the worker counts par.Do fans out
-// (≤ NumCPU) while wasting little memory on empty shards.
+// contention negligible between the sessions and layoutd flights that
+// share one cache while wasting little memory on empty shards.
 const sharedShards = 16
 
 // DefaultSharedCapacity bounds a SharedCache built with capacity ≤ 0:

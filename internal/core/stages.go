@@ -40,7 +40,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/layout"
 	"repro/internal/layoutgraph"
-	"repro/internal/par"
 	"repro/internal/pcfg"
 	"repro/internal/remap"
 	"repro/internal/stage"
@@ -157,11 +156,10 @@ func depGraphKey(g *pcfg.Graph, depKeys []artifact.Key) artifact.Key {
 	return h.Key()
 }
 
-// stageDep builds the PCFG and fans the per-phase dependence analysis
-// out over the worker pool into index-addressed slots.  On the
-// incremental path (inc carries a previous snapshot) phases whose phase
-// key matches the previous run reuse the stored dependence info and
-// only the changed phases are re-analyzed.
+// stageDep builds the PCFG and runs the per-phase dependence analysis.
+// On the incremental path (inc carries a previous snapshot) phases
+// whose phase key matches the previous run reuse the stored dependence
+// info and only the changed phases are re-analyzed.
 func stageDep(ctx context.Context, opt Options, ua *unitArtifact, inc *incrementalRun, tm stage.Timings) (*depArtifact, error) {
 	defer timed(tm, stage.Dep)()
 	g, err := pcfg.Build(ua.unit, opt.PCFG)
@@ -195,15 +193,14 @@ func stageDep(ctx context.Context, opt Options, ua *unitArtifact, inc *increment
 			todo = append(todo, i)
 		}
 	}
-	if err := par.Do(ctx, opt.Workers, len(todo), func(k int) error {
-		if ferr := opt.Fault.Err(stage.Dep); ferr != nil {
-			return ferr
+	for _, i := range todo {
+		if err := canceled(ctx, stage.Dep); err != nil {
+			return nil, err
 		}
-		i := todo[k]
+		if ferr := opt.Fault.Err(stage.Dep); ferr != nil {
+			return nil, ferr
+		}
 		infoSlots[i] = dep.Analyze(ua.unit, g.Phases[i].Stmts(), opt.DefaultTrip)
-		return nil
-	}); err != nil {
-		return nil, pipelineErr(stage.Dep, err)
 	}
 	infos := map[int]*dep.PhaseInfo{}
 	for i, ph := range g.Phases {
@@ -219,21 +216,15 @@ func stageDep(ctx context.Context, opt Options, ua *unitArtifact, inc *increment
 	}, nil
 }
 
-// stageAlignSpaces builds the alignment search spaces (the 0-1
-// resolutions fan out inside BuildSearchSpaces over the same worker
-// count), converts the stage's degradations, and extends every
-// candidate alignment to a complete embedding.  Extension used to
-// happen lazily inside the space-build fan-out; doing it here, once and
-// sequentially, freezes the artifact so concurrent Session re-runs can
-// share it without synchronization.
+// stageAlignSpaces builds the alignment search spaces, converts the
+// stage's degradations, and extends every candidate alignment to a
+// complete embedding.  Extending here, once, freezes the artifact so
+// concurrent Session re-runs can share it without synchronization.
 func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *unitArtifact, da *depArtifact, inc *incrementalRun, tm stage.Timings) (*alignArtifact, error) {
 	defer timed(tm, stage.AlignSolve)()
 	alignOpt := opt.Align
 	if alignOpt.Solver == nil {
 		alignOpt.Solver = solver
-	}
-	if alignOpt.Workers == 0 {
-		alignOpt.Workers = opt.Workers
 	}
 	alignOpt.Fault = opt.Fault
 	alignOpt.Verify = opt.Verify.enabled()
@@ -245,8 +236,8 @@ func stageAlignSpaces(ctx context.Context, opt Options, solver *ilp.Solver, ua *
 	if err != nil {
 		return nil, pipelineErr(stage.AlignSolve, err)
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("core: canceled during %s: %w", stage.AlignSolve, cerr)
+	if err := canceled(ctx, stage.AlignSolve); err != nil {
+		return nil, err
 	}
 	if !memoized {
 		inc.count(stage.AlignSolve, int64(len(spaces.Stats)), 0)
@@ -398,11 +389,13 @@ func stageCandidateSpaces(ctx context.Context, opt Options, ua *unitArtifact, da
 	dOpt := distrib.Options{Procs: opt.Procs, Cyclic: opt.Cyclic, MultiDim: opt.MultiDim}
 	g := da.graph
 	res.Phases = make([]*PhaseResult, len(g.Phases))
-	if err := par.Do(ctx, opt.Workers, len(g.Phases), func(i int) error {
+	for i, ph := range g.Phases {
+		if err := canceled(ctx, stage.SpaceBuild); err != nil {
+			return err
+		}
 		if ferr := opt.Fault.Err(stage.SpaceBuild); ferr != nil {
 			return ferr
 		}
-		ph := g.Phases[i]
 		space := distrib.BuildSpace(res.Template, aa.spaces.PerPhase[ph.ID], dOpt)
 		space = filterUserConstraints(ua.unit, space)
 		if len(space) == 0 {
@@ -419,63 +412,54 @@ func stageCandidateSpaces(ctx context.Context, opt Options, ua *unitArtifact, da
 			pr.Candidates[j] = &Candidate{Layout: pl.Layout, AlignOrigin: pl.AlignOrigin}
 		}
 		res.Phases[i] = pr
-		return nil
-	}); err != nil {
-		return pipelineErr(stage.SpaceBuild, err)
 	}
 	return nil
 }
 
-// stagePricing prices every candidate.  A sequential pass first gives
-// every phase signature and candidate FullKey its ident, so the fan-out
-// only reads the identity table.  The fan-out is over the flattened
-// (phase, candidate) pairs — not per phase — so one phase with a huge
-// space cannot serialize the pool; each job writes its own slot.
+// stagePricing prices every candidate, phase by phase.  A first pass
+// gives every phase signature and candidate FullKey its ident.
 func stagePricing(ctx context.Context, opt Options, res *Result, tm stage.Timings) error {
 	defer timed(tm, stage.Pricing)()
-	type job struct{ p, c int }
-	var jobs []job
-	for p, pr := range res.Phases {
-		for c := range pr.Candidates {
-			jobs = append(jobs, job{p, c})
-		}
+	cands := 0
+	for _, pr := range res.Phases {
+		cands += len(pr.Candidates)
 	}
 	// Every string the run will intern: a signature per phase, a FullKey
 	// per candidate, and in reselect a live list per edge and per remap.
-	res.ids = newInterner(len(jobs) + len(res.Phases) + 2*len(res.PCFG.Edges))
+	res.ids = newInterner(cands + len(res.Phases) + 2*len(res.PCFG.Edges))
 	for _, pr := range res.Phases {
 		pr.sig = res.ids.intern(pr.sig.s)
 		for _, cand := range pr.Candidates {
 			cand.key = res.ids.intern(cand.Layout.FullKey())
 		}
 	}
-	if err := par.Do(ctx, opt.Workers, len(jobs), func(i int) error {
-		if ferr := opt.Fault.Err(stage.Pricing); ferr != nil {
-			return ferr
+	for _, pr := range res.Phases {
+		for _, cand := range pr.Candidates {
+			if err := canceled(ctx, stage.Pricing); err != nil {
+				return err
+			}
+			if ferr := opt.Fault.Err(stage.Pricing); ferr != nil {
+				return ferr
+			}
+			cand.Plan, cand.Estimate = res.price(pr, cand.Layout, cand.key)
+			cand.Cost = opt.Fault.Corrupt(stage.Pricing, cand.Estimate.Time*pr.Phase.Freq)
 		}
-		j := jobs[i]
-		pr := res.Phases[j.p]
-		cand := pr.Candidates[j.c]
-		cand.Plan, cand.Estimate = res.price(pr, cand.Layout, cand.key)
-		cand.Cost = opt.Fault.Corrupt(stage.Pricing, cand.Estimate.Time*pr.Phase.Freq)
-		return nil
-	}); err != nil {
-		return pipelineErr(stage.Pricing, err)
 	}
 	return nil
 }
 
-// pipelineErr normalizes an error escaping a parallel stage: a worker
-// panic surfaces as the same *InternalError a panic on the calling
-// goroutine becomes, and context cancellation is labeled with the stage
-// it interrupted (st is a package stage constant, the same vocabulary
-// used by Degradation.Subsystem and the fault-injection sites).
-// Everything else passes through.
+// canceled reports a canceled or expired ctx labeled with the stage it
+// interrupted.  Every per-item loop of the pipeline checks it before
+// each item.
+func canceled(ctx context.Context, st string) error {
+	return pipelineErr(st, ctx.Err())
+}
+
+// pipelineErr labels a context error with the stage it interrupted (st
+// is a package stage constant, the same vocabulary used by
+// Degradation.Subsystem and the fault-injection sites); everything else,
+// nil included, passes through.
 func pipelineErr(st string, err error) error {
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		return &InternalError{Msg: fmt.Sprint(pe.Value), Stack: pe.Stack}
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("core: canceled during %s: %w", st, err)
 	}
@@ -541,9 +525,7 @@ func (r *Result) summarizeSolver() {
 // reselect solves the selection with the given budget, degrading to
 // the exact elimination DP or the greedy per-phase heuristic when the
 // ILP is cut off without an incumbent, and rebuilds
-// Result.Degradations.  The per-edge transition cost matrices are
-// independent, so they fan out over the worker pool into
-// index-addressed slots.
+// Result.Degradations.
 func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 	defer timed(r.StageTimes, stage.Selection)()
 	lg := &layoutgraph.Graph{NodeCost: make([][]float64, len(r.Phases))}
@@ -554,35 +536,24 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		}
 	}
 	if n := len(r.PCFG.Edges); n > 0 {
-		// Each edge's live list gets its ident before the fan-out.
-		type liveSet struct {
-			names []string
-			key   ident
-		}
-		lives := make([]liveSet, n)
+		lg.Edges = make([]*layoutgraph.Edge, n)
 		for k, e := range r.PCFG.Edges {
+			if err := canceled(ctx, stage.Selection); err != nil {
+				return err
+			}
 			names := liveNames(r.LiveIn[e.To])
-			lives[k] = liveSet{names, r.ids.intern(joinNames(names))}
-		}
-		edges := make([]*layoutgraph.Edge, n)
-		if err := par.Do(ctx, par.Workers(r.opt.Workers), n, func(k int) error {
-			e := r.PCFG.Edges[k]
+			live := r.ids.intern(joinNames(names))
 			from, to := r.Phases[e.From], r.Phases[e.To]
 			edge := &layoutgraph.Edge{FromPhase: e.From, ToPhase: e.To}
 			edge.Cost = make([][]float64, len(from.Candidates))
-			live := lives[k]
 			for i, ci := range from.Candidates {
 				edge.Cost[i] = make([]float64, len(to.Candidates))
 				for j, cj := range to.Candidates {
-					edge.Cost[i][j] = r.remapCost(ci, cj, live.names, live.key) * e.Freq
+					edge.Cost[i][j] = r.remapCost(ci, cj, names, live) * e.Freq
 				}
 			}
-			edges[k] = edge
-			return nil
-		}); err != nil {
-			return pipelineErr(stage.Selection, err)
+			lg.Edges[k] = edge
 		}
-		lg.Edges = edges
 	}
 	if r.opt.MergePhases {
 		lg.Ties = r.mergeTies(lg)
@@ -640,10 +611,10 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 			r.selectionPut(sel)
 		}
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		// Cancellation is a hard stop even when an incumbent exists;
-		// deadline-based degradation goes through Options.Timeout.
-		return fmt.Errorf("core: canceled during %s: %w", stage.Selection, cerr)
+	// Cancellation is a hard stop even when an incumbent exists;
+	// deadline-based degradation goes through Options.Timeout.
+	if err := canceled(ctx, stage.Selection); err != nil {
+		return err
 	}
 	// Corruption lands before certification so an injected wrong answer
 	// is always in the checker's line of fire.

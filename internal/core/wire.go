@@ -146,8 +146,8 @@ type Request struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Strict turns any graceful degradation into a hard failure.
 	Strict bool `json:"strict,omitempty"`
-	// Workers bounds the evaluation pipeline's goroutines (0 = all
-	// CPUs; output is byte-identical for any value).
+	// Workers is accepted for compatibility; the pipeline runs on the
+	// calling goroutine, so it changes neither the output nor the Key.
 	Workers int `json:"workers,omitempty"`
 	// NoCache disables every memoization layer for this request.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -262,7 +262,6 @@ func (r *Request) Key(opt Options) artifact.Key {
 		Bool(opt.Compiler.CoarseGrainPipelining).
 		Int(int(opt.Timeout)).
 		Bool(opt.Strict).
-		Int(opt.Workers).
 		Bool(opt.NoCache).
 		Int(int(opt.Verify)).
 		Key()

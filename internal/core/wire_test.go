@@ -171,26 +171,30 @@ func TestBuildOptionsParity(t *testing.T) {
 	}
 }
 
-// TestRequestKey pins the dedup identity: equal requests hash equal,
-// any option change hashes different, and a named machine equals its
-// serialized table (both resolve to the same artifact.MachineKey).
+// TestRequestKey pins the dedup identity: equal requests hash equal —
+// Workers, which selects nothing, included — any option change hashes
+// different, and a named machine equals its serialized table (both
+// resolve to the same artifact.MachineKey).
 func TestRequestKey(t *testing.T) {
 	base := &Request{V: WireV1, Source: wireTestSrc, Procs: 8}
 	baseOpt, err := base.BuildOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := &Request{V: WireV1, Source: wireTestSrc, Procs: 8}
-	sameOpt, _ := same.BuildOptions()
-	if base.Key(baseOpt) != same.Key(sameOpt) {
-		t.Error("identical requests produced different keys")
+	for _, same := range []*Request{
+		{V: WireV1, Source: wireTestSrc, Procs: 8},
+		{V: WireV1, Source: wireTestSrc, Procs: 8, Workers: 2},
+	} {
+		sameOpt, _ := same.BuildOptions()
+		if base.Key(baseOpt) != same.Key(sameOpt) {
+			t.Errorf("%+v: key differs from the base request's", *same)
+		}
 	}
 	variants := []*Request{
 		{V: WireV1, Source: wireTestSrc + "\n", Procs: 8},
 		{V: WireV1, Source: wireTestSrc, Procs: 16},
 		{V: WireV1, Source: wireTestSrc, Procs: 8, Cyclic: true},
 		{V: WireV1, Source: wireTestSrc, Procs: 8, Machine: "paragon"},
-		{V: WireV1, Source: wireTestSrc, Procs: 8, Workers: 2},
 		{V: WireV1, Source: wireTestSrc, Procs: 8, TimeoutMS: 100},
 		{V: WireV1, Source: wireTestSrc, Procs: 8, Verify: true},
 	}

@@ -95,7 +95,7 @@ func (e *Error) Error() string { return fmt.Sprintf("fault: injected failure at 
 
 // Plan is an armed fault-injection plan.  The zero value of *Plan
 // (nil) is the unarmed registry; NewPlan returns an armed, empty one.
-// A Plan is safe for concurrent use by the pipeline's workers.
+// A Plan is safe for concurrent use by analyses that share it.
 type Plan struct {
 	seed  int64
 	mu    sync.Mutex

@@ -18,8 +18,8 @@ import "math"
 // to a cold two-phase solve, so a warm call is never less correct than
 // Solve — only cheaper.
 //
-// A Workspace is not safe for concurrent use; give each worker
-// goroutine its own (see internal/par.DoWorker callers).
+// A Workspace is not safe for concurrent use; give each goroutine its
+// own (align.BuildSearchSpaces keeps one per call).
 type Workspace struct {
 	tb    tableau
 	p     *Problem // problem the tableau state belongs to

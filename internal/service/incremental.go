@@ -77,7 +77,7 @@ func (s *Server) runIncremental(ctx context.Context, src string, opt core.Option
 // familyKey is the session-table identity: program name plus the
 // front-half options Session.Update pins.  Two requests with equal
 // family keys may share a session; everything request-specific
-// (machine, procs, compiler, workers, verify) varies per Update call.
+// (machine, procs, compiler, verify) varies per Update call.
 func familyKey(src string, opt core.Options) artifact.Key {
 	return artifact.NewHasher("session-family").
 		Str(programName(src)).

@@ -152,6 +152,43 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
+// TestWorkersCoalesce: requests that differ only in workers, a field
+// that selects nothing, share one flight key, so two concurrent ones run
+// one analysis and the second counts as one dedup hit.
+func TestWorkersCoalesce(t *testing.T) {
+	srv := newTestServer(t, Config{MaxInFlight: 2})
+	srv.hookFlightStart = func(artifact.Key) {
+		waitFor(t, "the other request to join the flight", func() bool {
+			return srv.m.dedup.Load() >= 1
+		})
+	}
+	var wg sync.WaitGroup
+	responses := make([]*httptest.ResponseRecorder, 2)
+	for i, workers := range []int{1, 4} {
+		body := requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8, Workers: workers})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			responses[i] = post(srv, body)
+		}()
+	}
+	wg.Wait()
+	if got := srv.m.analyses.Load(); got != 1 {
+		t.Errorf("analyses_total = %d, want exactly 1", got)
+	}
+	if got := srv.m.dedup.Load(); got != 1 {
+		t.Errorf("dedup_inflight_hits = %d, want 1", got)
+	}
+	for i, rec := range responses {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, rec.Code, rec.Body)
+		}
+	}
+	if !bytes.Equal(responses[0].Body.Bytes(), responses[1].Body.Bytes()) {
+		t.Error("the coalesced requests received different bytes")
+	}
+}
+
 // TestDistinctRequestsNotBlocked: the singleflight map never couples
 // distinct keys — a held flight for request A does not delay an
 // unrelated request B.

@@ -1,9 +1,9 @@
 // Package stage is the shared vocabulary of pipeline stage names.
 //
 // One constant set names every stage of the analysis pipeline, so the
-// labels in cancellation errors (core's par fan-outs), the subsystems
-// named by core.Degradation, the sites of the fault-injection registry
-// (package fault), the stages carried by certification failures
+// labels in cancellation errors (core's per-item stage loops), the
+// subsystems named by core.Degradation, the sites of the fault-injection
+// registry (package fault), the stages carried by certification failures
 // (package verify) and the per-stage wall-clock timings (Timings) all
 // correlate: a chaos report, a degradation log line, a timing line and
 // a certificate error about the same stage use the same word.
@@ -23,7 +23,7 @@ import (
 const (
 	// Parse covers parsing and semantic analysis of the input program.
 	Parse = "parse"
-	// Dep is the per-phase dependence analysis fan-out.
+	// Dep is the per-phase dependence analysis.
 	Dep = "dep"
 	// AlignSolve covers the alignment search-space construction,
 	// including every 0-1 conflict resolution (package align / cag).
@@ -31,7 +31,7 @@ const (
 	// SpaceBuild is the per-phase distribution search-space
 	// construction (cross product, user-constraint filtering).
 	SpaceBuild = "space-build"
-	// Pricing is the per-candidate performance estimation fan-out
+	// Pricing is the per-candidate performance estimation
 	// (compiler model + execution model).
 	Pricing = "pricing"
 	// ILPRoot is the root of one branch-and-bound solve: the root LP

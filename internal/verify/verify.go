@@ -4,10 +4,10 @@
 // The paper's value proposition rests on proven optimality: the 0-1
 // formulations for inter-dimensional alignment and final layout
 // selection are solved exactly, and the resilience machinery layered on
-// top of those solvers (deadlines, incumbent fallbacks, caching, the
-// parallel fan-out) is exactly the machinery that can silently return a
-// wrong-but-plausible layout — a stale cache hit, a mis-merged worker
-// slot, an incumbent mislabeled as optimal.  This package re-derives
+// top of those solvers (deadlines, incumbent fallbacks, caching,
+// incremental reuse) is exactly the machinery that can silently return
+// a wrong-but-plausible layout — a stale cache hit, a wrongly reused
+// artifact, an incumbent mislabeled as optimal.  This package re-derives
 // each claim from first principles, sharing no state and no code path
 // with the solvers it checks:
 //
