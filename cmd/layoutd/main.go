@@ -8,10 +8,8 @@
 // Usage:
 //
 //	layoutd -addr :8780 [-store DIR] [-max-inflight N] [-queue N]
-//	        [-queue-target D] [-cache-capacity N]
-//	        [-default-timeout D] [-max-timeout D]
-//	        [-watchdog-multiple N] [-quarantine-after N] [-quarantine-ttl D]
-//	        [-drain-timeout D]
+//	        [-cache-capacity N] [-default-timeout D] [-max-timeout D]
+//	        [-max-body N] [-drain-timeout D]
 //
 // Endpoints:
 //
@@ -25,12 +23,16 @@
 //	curl -s -X POST localhost:8780/v1/analyze \
 //	  -d '{"v":1,"source":"...fortran dialect...","procs":16}'
 //
-// The daemon is crash-only and self-protecting: overload sheds early
-// with 429 + an honest Retry-After once the standing queueing delay
-// exceeds -queue-target; an analysis that overruns a hard wall-clock
-// multiple of its budget is shot by the watchdog and its slot
-// reclaimed; a request key that repeatedly crashes the analyzer is
-// quarantined with a typed 422 for -quarantine-ttl.  SIGTERM/SIGINT
+// The daemon is crash-only and self-protecting, under the fixed policy
+// of package service (defaultPolicy and its constants, not flags):
+// overload sheds early with 429 + an honest Retry-After once the
+// standing queueing delay stays over target; an analysis that overruns
+// its wall clock (a floor plus a multiple of its budget) is shot by the
+// watchdog, its slot reclaimed and, after a grace period, its goroutine
+// abandoned (unbudgeted requests have no wall — set -default-timeout or
+// -max-timeout to arm it); a request key that keeps crashing the
+// analyzer is quarantined with a typed 422 for a TTL; and a bounded
+// table of program families keeps incremental sessions.  SIGTERM/SIGINT
 // begin a graceful drain: /readyz flips to 503, new work bounces
 // typed, in-flight analyses complete (progress is logged), and the
 // store is flushed before exit.
@@ -56,38 +58,22 @@ func main() {
 	storeDir := flag.String("store", "", "on-disk artifact store directory (L3; \"\" = memory-only)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently running analyses (0 = NumCPU)")
 	queue := flag.Int("queue", 64, "max queued analyses before 429 (negative = no queue)")
-	queueTarget := flag.Duration("queue-target", 0, "standing queueing-delay target before adaptive shedding (0 = 50ms, negative = off)")
-	queueWindow := flag.Duration("queue-window", 0, "shedder observation window (0 = 1s)")
 	cacheCap := flag.Int("cache-capacity", 0, "shared cache entry bound (0 = default)")
 	defTimeout := flag.Duration("default-timeout", 0, "budget applied to requests without timeout_ms (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on any request's budget (0 = none)")
 	maxBody := flag.Int64("max-body", 0, "request body byte bound (0 = 16MiB)")
-	wdMultiple := flag.Int("watchdog-multiple", 0, "hard wall = watchdog-floor + N×budget (0 = 8, negative = off)")
-	wdFloor := flag.Duration("watchdog-floor", 0, "floor added to every watchdog wall (0 = 2s)")
-	wdGrace := flag.Duration("watchdog-grace", 0, "unwind grace after a watchdog cancellation (0 = 1s)")
-	qAfter := flag.Int("quarantine-after", 0, "crashes before a request key is quarantined (0 = 2, negative = off)")
-	qTTL := flag.Duration("quarantine-ttl", 0, "quarantine duration for a poisoned key (0 = 5m)")
-	qCap := flag.Int("quarantine-cap", 0, "crash-table key bound (0 = 1024)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "shutdown bound for in-flight analyses (0 = 15s)")
 	flag.Parse()
 
 	srv, err := service.NewServer(service.Config{
-		MaxInFlight:      *maxInflight,
-		MaxQueue:         *queue,
-		QueueTarget:      *queueTarget,
-		QueueWindow:      *queueWindow,
-		WatchdogMultiple: *wdMultiple,
-		WatchdogFloor:    *wdFloor,
-		WatchdogGrace:    *wdGrace,
-		QuarantineAfter:  *qAfter,
-		QuarantineTTL:    *qTTL,
-		QuarantineCap:    *qCap,
-		DrainTimeout:     *drainTimeout,
-		CacheCapacity:    *cacheCap,
-		StoreDir:         *storeDir,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		MaxBodyBytes:     *maxBody,
+		MaxInFlight:    *maxInflight,
+		MaxQueue:       *queue,
+		DrainTimeout:   *drainTimeout,
+		CacheCapacity:  *cacheCap,
+		StoreDir:       *storeDir,
+		DefaultTimeout: *defTimeout,
+		MaxTimeout:     *maxTimeout,
+		MaxBodyBytes:   *maxBody,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layoutd:", err)

@@ -153,19 +153,13 @@ func DeclsKey(u *fortran.Unit) Key {
 	return h.Key()
 }
 
-// PhaseKey is the content hash of one phase of a program: the decls
-// key chained with the phase's canonical statement rendering
+// PhaseKeyFrom is the content hash of one phase of a program: the
+// decls key chained with the phase's canonical statement rendering
 // (fortran.PrintStmts round-trips trip and probability hints but not
 // source line numbers).  An edit that touches only other phases leaves
 // this key — and therefore every artifact derived from it — unchanged,
 // which is what lets Session.Update reuse per-phase artifacts across
 // edits.
-func PhaseKey(u *fortran.Unit, stmts []fortran.Stmt) Key {
-	return PhaseKeyFrom(DeclsKey(u), fortran.PrintStmts(stmts))
-}
-
-// PhaseKeyFrom derives a phase key from an already-computed decls key
-// and statement rendering.
 func PhaseKeyFrom(decls Key, sig string) Key {
 	return NewHasher("phase").Str(string(decls)).Str(sig).Key()
 }

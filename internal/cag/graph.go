@@ -98,15 +98,6 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int {
-	n := 0
-	for _, r := range g.ranks {
-		n += r
-	}
-	return n
-}
-
 // Edges returns the edges, sorted canonically.
 func (g *Graph) Edges() []*Edge {
 	out := make([]*Edge, 0, len(g.edges))

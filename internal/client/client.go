@@ -17,22 +17,25 @@
 //     and cannot double any effect;
 //   - retryable kinds (overloaded, draining, watchdog, canceled,
 //     fault, internal) back off and retry, honoring the server's
-//     Retry-After (capped by MaxRetryAfter) over the computed backoff;
+//     Retry-After (capped by the policy) over the computed backoff;
 //   - terminal kinds (bad_request, validation, syntax, strict,
 //     quarantined, certification) return immediately: the server has
 //     said re-sending the same bytes cannot succeed, and retrying a
 //     quarantined key would be exactly the poisoned-retry loop the
 //     quarantine exists to stop.
 //
-// Backoff is exponential with seeded jitter (deterministic under a
-// fixed Seed, decorrelated in production), and the caller's context is
-// checked before every sleep and attempt.
+// A call makes a bounded number of attempts, each with its own
+// timeout.  Backoff is exponential with seeded jitter (deterministic
+// under a fixed Seed, decorrelated in production), and the caller's
+// context is checked before every sleep and attempt.  The numbers are
+// the fixed defaultPolicy below.
 //
 // # Hedging
 //
 // With Hedge enabled the client races a second attempt when the first
-// exceeds the observed p95 latency (never sooner than HedgeMin, and
-// only once at least eight latencies have been observed).  The server
+// exceeds the observed p95 latency (never sooner than the policy's
+// hedge floor, and only once at least eight latencies have been
+// observed).  The server
 // deduplicates identical in-flight requests by content hash, so the
 // hedge joins the original flight rather than doubling work; whichever
 // copy answers first wins.
@@ -56,61 +59,45 @@ import (
 	"repro/internal/core"
 )
 
-// Config parameterizes a Client.  Only BaseURL is required.
+// Config parameterizes a Client.  Only BaseURL is required; the retry
+// and hedging tuning is the fixed policy below.
 type Config struct {
 	// BaseURL locates the server, e.g. "http://127.0.0.1:8780".
 	BaseURL string
 	// HTTPClient overrides the transport (nil ⇒ a dedicated client;
 	// tests point it at chaos proxies).
 	HTTPClient *http.Client
-	// MaxAttempts bounds tries per Analyze call, first attempt included
-	// (0 ⇒ 4, negative ⇒ exactly 1: no retries).
-	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff (0 ⇒ 100ms); MaxBackoff
-	// caps it (0 ⇒ 5s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// MaxRetryAfter caps how long a server-sent Retry-After is honored
-	// (0 ⇒ 30s) — an overloaded server must not park clients forever.
-	MaxRetryAfter time.Duration
-	// AttemptTimeout bounds one attempt's round trip (0 ⇒ 60s), so a
-	// slow-loris peer costs one attempt, not the whole deadline.
-	AttemptTimeout time.Duration
 	// Hedge enables the p95 hedged second attempt.
 	Hedge bool
-	// HedgeMin is the earliest a hedge may launch (0 ⇒ 50ms).
-	HedgeMin time.Duration
 	// Seed makes the backoff jitter deterministic for tests (0 ⇒ seeded
 	// from the clock).
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 4
-	}
-	if c.MaxAttempts < 0 {
-		c.MaxAttempts = 1
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 30 * time.Second
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 60 * time.Second
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 50 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = time.Now().UnixNano()
-	}
-	return c
+// policy is the client's fixed retry and hedging tuning.  New always
+// uses defaultPolicy; only in-package tests shorten it (newClient).
+type policy struct {
+	// maxAttempts bounds tries per Analyze call, first attempt included.
+	maxAttempts int
+	// baseBackoff seeds the exponential backoff; maxBackoff caps it.
+	baseBackoff, maxBackoff time.Duration
+	// maxRetryAfter caps how long a server-sent Retry-After is honored —
+	// an overloaded server must not park clients forever.
+	maxRetryAfter time.Duration
+	// attemptTimeout bounds one attempt's round trip, so a slow-loris
+	// peer costs one attempt, not the whole deadline.
+	attemptTimeout time.Duration
+	// hedgeMin is the earliest a hedge may launch.
+	hedgeMin time.Duration
+}
+
+var defaultPolicy = policy{
+	maxAttempts:    4,
+	baseBackoff:    100 * time.Millisecond,
+	maxBackoff:     5 * time.Second,
+	maxRetryAfter:  30 * time.Second,
+	attemptTimeout: 60 * time.Second,
+	hedgeMin:       50 * time.Millisecond,
 }
 
 // APIError is a typed error answer from the server (any non-200 with a
@@ -144,6 +131,7 @@ type Stats struct {
 // Client is a retrying layoutd client.  Safe for concurrent use.
 type Client struct {
 	cfg Config
+	pol policy
 	hc  *http.Client
 
 	requests   atomic.Int64
@@ -164,10 +152,16 @@ type Client struct {
 const latencyWindow = 64
 
 // New builds a client.
-func New(cfg Config) (*Client, error) {
-	cfg = cfg.withDefaults()
+func New(cfg Config) (*Client, error) { return newClient(cfg, defaultPolicy) }
+
+// newClient is New under a given policy — the seam tests use to shorten
+// backoffs and bounds.
+func newClient(cfg Config, pol policy) (*Client, error) {
 	if cfg.BaseURL == "" {
 		return nil, errors.New("client: BaseURL is required")
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = time.Now().UnixNano()
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -175,6 +169,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg: cfg,
+		pol: pol,
 		hc:  hc,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		lat: make([]time.Duration, 0, latencyWindow),
@@ -196,8 +191,8 @@ func (c *Client) Stats() Stats {
 
 // Analyze sends one request, retrying per the policy, and returns the
 // server's response.  A non-nil error is either a terminal *APIError,
-// the last *APIError/transport error after MaxAttempts, or ctx's own
-// error.
+// the last *APIError/transport error after the policy's attempts, or
+// ctx's own error.
 func (c *Client) Analyze(ctx context.Context, req *core.Request) (*core.Response, error) {
 	c.requests.Add(1)
 	body, err := json.Marshal(req)
@@ -205,7 +200,7 @@ func (c *Client) Analyze(ctx context.Context, req *core.Request) (*core.Response
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.pol.maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			delay := c.backoff(attempt, lastErr)
@@ -233,15 +228,15 @@ func (c *Client) Analyze(ctx context.Context, req *core.Request) (*core.Response
 			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.pol.maxAttempts, lastErr)
 }
 
 // backoff computes the sleep before the given retry (attempt ≥ 1):
 // exponential with jitter, overridden upward by a server Retry-After.
 func (c *Client) backoff(attempt int, lastErr error) time.Duration {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
+	d := c.pol.baseBackoff << (attempt - 1)
+	if d > c.pol.maxBackoff || d <= 0 {
+		d = c.pol.maxBackoff
 	}
 	// Full jitter over [d/2, d]: decorrelates a fleet of clients
 	// without ever collapsing the wait to ~0.
@@ -251,8 +246,8 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	var ae *APIError
 	if errors.As(lastErr, &ae) && ae.RetryAfter > 0 {
 		ra := ae.RetryAfter
-		if ra > c.cfg.MaxRetryAfter {
-			ra = c.cfg.MaxRetryAfter
+		if ra > c.pol.maxRetryAfter {
+			ra = c.pol.maxRetryAfter
 		}
 		if ra > d {
 			d = ra
@@ -263,7 +258,7 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 
 // attempt runs one (possibly hedged) try under the attempt timeout.
 func (c *Client) attempt(ctx context.Context, body []byte) (*core.Response, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, c.pol.attemptTimeout)
 	defer cancel()
 
 	hedgeAfter, ok := c.hedgeDelay()
@@ -308,7 +303,8 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*core.Response, erro
 }
 
 // hedgeDelay returns the p95 of observed latencies (floored at
-// HedgeMin), and whether enough samples exist to hedge at all.
+// the policy's hedgeMin), and whether enough samples exist to hedge at
+// all.
 func (c *Client) hedgeDelay() (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -318,8 +314,8 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 	sorted := append([]time.Duration(nil), c.lat...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	p95 := sorted[(len(sorted)*95)/100]
-	if p95 < c.cfg.HedgeMin {
-		p95 = c.cfg.HedgeMin
+	if p95 < c.pol.hedgeMin {
+		p95 = c.pol.hedgeMin
 	}
 	return p95, true
 }

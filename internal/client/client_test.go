@@ -33,19 +33,53 @@ func writeErrorBody(w http.ResponseWriter, status int, kind, msg string) {
 	json.NewEncoder(w).Encode(core.ErrorBody{V: core.WireV1, Error: core.ErrorInfo{Kind: kind, Message: msg}})
 }
 
+// fastPolicy is the default policy with a 1ms backoff base, so retry
+// tests do not sleep for real.
+func fastPolicy() policy {
+	pol := defaultPolicy
+	pol.baseBackoff = time.Millisecond
+	return pol
+}
+
 func newTestClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
-	if cfg.BaseBackoff == 0 {
-		cfg.BaseBackoff = time.Millisecond
-	}
+	return newPolicyClient(t, cfg, fastPolicy())
+}
+
+// newPolicyClient is newTestClient under a given policy.
+func newPolicyClient(t *testing.T, cfg Config, pol policy) *Client {
+	t.Helper()
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	c, err := New(cfg)
+	c, err := newClient(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestDefaultPolicyPinned: New runs the retry and hedging tuning the
+// client always shipped with.
+func TestDefaultPolicyPinned(t *testing.T) {
+	want := policy{
+		maxAttempts:    4,
+		baseBackoff:    100 * time.Millisecond,
+		maxBackoff:     5 * time.Second,
+		maxRetryAfter:  30 * time.Second,
+		attemptTimeout: 60 * time.Second,
+		hedgeMin:       50 * time.Millisecond,
+	}
+	if defaultPolicy != want {
+		t.Errorf("defaultPolicy = %+v, want %+v", defaultPolicy, want)
+	}
+	c, err := New(Config{BaseURL: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.pol != want {
+		t.Errorf("New policy = %+v, want %+v", c.pol, want)
+	}
 }
 
 // TestRetriesTransientThenSucceeds: retryable typed errors are retried
@@ -104,7 +138,8 @@ func TestTerminalKindsNotRetried(t *testing.T) {
 }
 
 // TestHonorsRetryAfter: a server-sent Retry-After stretches the
-// backoff (capped by MaxRetryAfter) instead of being ignored.
+// backoff (capped by the policy's maxRetryAfter) instead of being
+// ignored.
 func TestHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +154,9 @@ func TestHonorsRetryAfter(t *testing.T) {
 
 	// The 30s hint is capped to 80ms; the 1ms backoff would otherwise
 	// retry near-instantly, so a ≥ 80ms wall time proves the hint won.
-	c := newTestClient(t, Config{BaseURL: hs.URL, MaxRetryAfter: 80 * time.Millisecond})
+	pol := fastPolicy()
+	pol.maxRetryAfter = 80 * time.Millisecond
+	c := newPolicyClient(t, Config{BaseURL: hs.URL}, pol)
 	t0 := time.Now()
 	if _, err := c.Analyze(context.Background(), testReq); err != nil {
 		t.Fatal(err)
@@ -127,13 +164,15 @@ func TestHonorsRetryAfter(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed < 80*time.Millisecond {
 		t.Errorf("retried after %v, want ≥ 80ms (Retry-After ignored?)", elapsed)
 	}
-	if st := c.Stats(); st.RetrySleep < int64(80*time.Millisecond) {
-		t.Errorf("retry_sleep = %v, want ≥ 80ms", time.Duration(st.RetrySleep))
+	// The hint outweighs the ≤ 1ms backoff, and the cap trims it to
+	// exactly 80ms: an uncapped client would sleep the full 30s.
+	if st := c.Stats(); st.RetrySleep != int64(80*time.Millisecond) {
+		t.Errorf("retry_sleep = %v, want exactly the 80ms cap", time.Duration(st.RetrySleep))
 	}
 }
 
 // TestGivesUpAfterMaxAttempts: persistent retryable failure ends in
-// the last typed error, wrapped, after exactly MaxAttempts tries.
+// the last typed error, wrapped, after exactly maxAttempts tries.
 func TestGivesUpAfterMaxAttempts(t *testing.T) {
 	var calls atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -142,7 +181,9 @@ func TestGivesUpAfterMaxAttempts(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := newTestClient(t, Config{BaseURL: hs.URL, MaxAttempts: 3})
+	pol := fastPolicy()
+	pol.maxAttempts = 3
+	c := newPolicyClient(t, Config{BaseURL: hs.URL}, pol)
 	_, err := c.Analyze(context.Background(), testReq)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Kind != core.KindDraining {
@@ -191,7 +232,9 @@ func TestHedgedAttempt(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := newTestClient(t, Config{BaseURL: hs.URL, Hedge: true, HedgeMin: 10 * time.Millisecond})
+	pol := fastPolicy()
+	pol.hedgeMin = 10 * time.Millisecond
+	c := newPolicyClient(t, Config{BaseURL: hs.URL, Hedge: true}, pol)
 	for i := 0; i < slowCall-1; i++ { // build the p95 sample window
 		if _, err := c.Analyze(context.Background(), testReq); err != nil {
 			t.Fatal(err)
@@ -228,13 +271,14 @@ func TestSurvivesEveryChaosMode(t *testing.T) {
 			}
 			defer proxy.Close()
 
-			c := newTestClient(t, Config{
-				BaseURL:        proxy.URL(),
-				AttemptTimeout: 5 * time.Second,
+			pol := fastPolicy()
+			pol.attemptTimeout = 5 * time.Second
+			c := newPolicyClient(t, Config{
+				BaseURL: proxy.URL(),
 				// One exchange per proxied connection, or the schedule
 				// desynchronizes from the exchanges.
 				HTTPClient: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
-			})
+			}, pol)
 			resp, err := c.Analyze(context.Background(), testReq)
 			if err != nil {
 				t.Fatalf("mode %s: %v (stats %+v)", mode, err, c.Stats())

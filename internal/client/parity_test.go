@@ -9,9 +9,9 @@ package client
 // core.Analyze.  The network can tear, stall, truncate or duplicate;
 // the answer cannot drift.
 //
-// TestAcceptanceChaosSoak — the PR's acceptance criterion: ≥ 200
-// requests through the client against a chaos-proxied server with a
-// service-flight panic armed, and every single call ends in exactly
+// TestAcceptanceChaosSoak — ≥ 200 requests through the client against
+// a chaos-proxied server holding a quarantined key, and every single
+// call ends in exactly
 // one of (certified byte-identical result | typed quarantined
 // rejection | typed overload rejection) — never a hang, never an
 // uncertified answer — while the server's admission accounting
@@ -112,13 +112,13 @@ func TestGoldenParityThroughChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer proxy.Close()
-			c, err := New(Config{
-				BaseURL:        proxy.URL(),
-				HTTPClient:     noKeepAlive(),
-				BaseBackoff:    time.Millisecond,
-				AttemptTimeout: 2 * time.Minute,
-				Seed:           int64(i) + 1,
-			})
+			pol := defaultPolicy
+			pol.baseBackoff, pol.attemptTimeout = time.Millisecond, 2*time.Minute
+			c, err := newClient(Config{
+				BaseURL:    proxy.URL(),
+				HTTPClient: noKeepAlive(),
+				Seed:       int64(i) + 1,
+			}, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,12 +215,14 @@ end
 `,
 }
 
-// TestAcceptanceChaosSoak is the PR's acceptance criterion in one
-// test: 200 client calls (8 workers × 25) against a layoutd with a
-// service-flight panic armed, through a chaos proxy faulting a third
-// of all connections.  Every call must end certified-identical,
-// typed-quarantined, or typed-overload-rejected; afterwards the
-// server's books must balance exactly and no slot may be leaked.
+// TestAcceptanceChaosSoak is the crash-only contract in one test: a
+// key crashes the analyzer twice through one client call and is
+// quarantined, then 200 client calls (8 workers × 25) run against the
+// server through a chaos proxy faulting a third of all connections,
+// with a service-flight panic armed to crash one flight mid-soak.
+// Every call must end certified-identical, typed-quarantined, or
+// typed-overload-rejected; afterwards the server's books must balance
+// exactly and no slot may be leaked.
 func TestAcceptanceChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance soak skipped in -short mode")
@@ -230,17 +232,20 @@ func TestAcceptanceChaosSoak(t *testing.T) {
 		perEach = 25
 	)
 
-	// The 10th analysis panics: its flight crashes once, QuarantineAfter
-	// = 1 quarantines the key immediately, and the crashed client's own
-	// retry (plus any later sender of the same key) gets the typed 422.
-	plan := fault.NewPlan(11).Arm(stage.ServiceFlight, fault.Rule{Action: fault.Panic, After: 10})
+	// The first analysis fails at parse and the second at dep: two
+	// crashes, which the server's policy quarantines (for 5 minutes).
+	// The 12th flight — the soak's 10th — panics, so a flight crashes
+	// under concurrent load with dedup waiters and retrying clients
+	// attached.
+	plan := fault.NewPlan(11).
+		Arm(stage.Parse, fault.Rule{Action: fault.Fail, After: 1}).
+		Arm(stage.Dep, fault.Rule{Action: fault.Fail, After: 1}).
+		Arm(stage.ServiceFlight, fault.Rule{Action: fault.Panic, After: 12})
 	srv, err := service.NewServer(service.Config{
-		MaxInFlight:     4,
-		MaxQueue:        256,
-		QuarantineAfter: 1,
-		QuarantineTTL:   time.Hour,
-		StoreDir:        t.TempDir(),
-		Fault:           plan,
+		MaxInFlight: 4,
+		MaxQueue:    256,
+		StoreDir:    t.TempDir(),
+		Fault:       plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +289,25 @@ func TestAcceptanceChaosSoak(t *testing.T) {
 		}
 	}
 
+	pol := defaultPolicy
+	pol.baseBackoff, pol.maxBackoff = time.Millisecond, 50*time.Millisecond
+	pol.maxRetryAfter, pol.attemptTimeout, pol.maxAttempts = 100*time.Millisecond, time.Minute, 8
+
+	// Poison pool[0]'s key before the soak, sequentially and without the
+	// proxy, so both crashes land on it: one call walks parse fault
+	// (retry) → dep fault (retry) → the typed 422 its retry loop stops at.
+	poisoner, err := newClient(Config{BaseURL: hs.URL, Seed: 99}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae *APIError
+	if _, err := poisoner.Analyze(context.Background(), pool[0].req); !errors.As(err, &ae) || ae.Kind != core.KindQuarantined {
+		t.Fatalf("poisoning call = %v, want a typed quarantined rejection after two crashes", err)
+	}
+	if st := poisoner.Stats(); st.Attempts != 3 {
+		t.Errorf("poisoning call made %d attempts, want 3 (parse fault, dep fault, quarantined)", st.Attempts)
+	}
+
 	var (
 		mu          sync.Mutex
 		ok          int
@@ -296,16 +320,11 @@ func TestAcceptanceChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := New(Config{
-				BaseURL:        proxy.URL(),
-				HTTPClient:     noKeepAlive(),
-				BaseBackoff:    time.Millisecond,
-				MaxBackoff:     50 * time.Millisecond,
-				MaxRetryAfter:  100 * time.Millisecond,
-				AttemptTimeout: time.Minute,
-				MaxAttempts:    8,
-				Seed:           int64(w) + 1,
-			})
+			c, err := newClient(Config{
+				BaseURL:    proxy.URL(),
+				HTTPClient: noKeepAlive(),
+				Seed:       int64(w) + 1,
+			}, pol)
 			if err != nil {
 				errs <- err
 				return
@@ -356,10 +375,12 @@ func TestAcceptanceChaosSoak(t *testing.T) {
 			ok, quarantined, overloaded, ok+quarantined+overloaded, total)
 	}
 	if quarantined < 1 {
-		t.Error("no call ended quarantined — the armed panic never propagated to the crash table")
+		t.Error("no soak call ended quarantined — the poisoned key's quarantine did not hold")
 	}
-	if plan.Fired(stage.ServiceFlight) != 1 {
-		t.Errorf("service-flight fault fired %d times, want exactly 1", plan.Fired(stage.ServiceFlight))
+	for _, site := range []string{stage.Parse, stage.Dep, stage.ServiceFlight} {
+		if n := plan.Fired(site); n != 1 {
+			t.Errorf("%s fault fired %d times, want exactly 1", site, n)
+		}
 	}
 	if proxy.Faults() < 1 {
 		t.Error("the chaos proxy injected no network fault")
@@ -378,10 +399,10 @@ func TestAcceptanceChaosSoak(t *testing.T) {
 	if m.InFlight != 0 || m.QueueDepth != 0 {
 		t.Errorf("end state: %d in flight, %d queued — slots leaked", m.InFlight, m.QueueDepth)
 	}
-	if m.QuarantineRejections < 1 || m.CrashesTotal != 1 {
-		t.Errorf("quarantine books: %d rejections (want ≥ 1), %d crashes (want 1)", m.QuarantineRejections, m.CrashesTotal)
+	if m.QuarantineRejections < 2 || m.CrashesTotal != 3 {
+		t.Errorf("quarantine books: %d rejections (want ≥ 2), %d crashes (want 3)", m.QuarantineRejections, m.CrashesTotal)
 	}
-	if m.RequestsTotal < int64(total) {
-		t.Errorf("server saw %d requests for %d client calls — retries should only add", m.RequestsTotal, total)
+	if m.RequestsTotal < int64(total)+3 {
+		t.Errorf("server saw %d requests for %d soak calls and 3 poisoning attempts — retries should only add", m.RequestsTotal, total)
 	}
 }

@@ -50,7 +50,6 @@ import (
 	"repro/internal/execmodel"
 	"repro/internal/fault"
 	"repro/internal/fortran"
-	"repro/internal/ilp"
 	"repro/internal/layout"
 	"repro/internal/layoutgraph"
 	"repro/internal/machine"
@@ -119,8 +118,6 @@ type Options struct {
 	// remapping between them can never be profitable (§2.1's phase
 	// merging, after Sheffler et al.), shrinking the search.
 	MergePhases bool
-	// Solver is the 0-1 solver used for selection (nil for defaults).
-	Solver *ilp.Solver
 	// DefaultTrip for dependence analysis (0 ⇒ 100).
 	DefaultTrip int
 	// Timeout bounds the wall-clock time spent in 0-1 solves across the

@@ -83,14 +83,13 @@ func (s *Session) effective(opt Options) (Options, error) {
 // frontRun is the session's context for one front-half run over prev
 // (nil in NewSession); the caller holds s.mu.  The alignment memo
 // requires a fully content-determined solve, the same precondition
-// selection reuse applies: a wall-clock budget or a caller-tuned solver
-// can change the outcome, and an armed fault plan must reach the
-// solver's injection sites.  Memoization never changes a result: only
+// selection reuse applies: a wall-clock budget can change the outcome,
+// and an armed fault plan must reach the solver's injection sites.  Memoization never changes a result: only
 // proven-optimal resolutions are stored, keyed by the full graph
 // content.
 func (s *Session) frontRun(opt Options, prev *frontState) *incrementalRun {
 	inc := &incrementalRun{prev: prev, posted: s.posted}
-	if opt.Timeout == 0 && opt.Solver == nil && opt.Fault == nil {
+	if opt.Timeout == 0 && opt.Fault == nil {
 		inc.memo = &s.memo
 	}
 	return inc

@@ -341,13 +341,12 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontSta
 			res.store = newStoreLayer(opt)
 		}
 		// Selection reuse needs a fully content-determined solve: a
-		// wall-clock budget or a caller-tuned solver can change the
-		// outcome (degradation, node limits), and a fault plan aimed at
-		// the solve must reach its injection sites.  Plans aimed elsewhere
-		// (the store and cache sites among them) keep the reuse path, so
-		// chaos runs still travel through L2 and L3.
-		if opt.Timeout == 0 && opt.Solver == nil &&
-			!opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
+		// wall-clock budget can change the outcome (degradation), and a
+		// fault plan aimed at the solve must reach its injection sites.
+		// Plans aimed elsewhere (the store and cache sites among them)
+		// keep the reuse path, so chaos runs still travel through L2 and
+		// L3.
+		if opt.Timeout == 0 && !opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
 				Str(res.keys.price.s).
@@ -466,24 +465,17 @@ func pipelineErr(st string, err error) error {
 	return err
 }
 
-// solverBudget derives the shared 0-1 solver for one run: the caller's
-// Solver settings plus the run's context and the Options.Timeout
-// deadline (whichever cutoff is earliest wins inside the solver).  It
-// also arms the solver with the run's fault plan and — when
-// verification is on — installs the package verify certificates, so
-// every 0-1 solve in the run is checked at the source.
+// solverBudget derives the shared 0-1 solver for one run: the run's
+// context and the Options.Timeout deadline (whichever cutoff is
+// earliest wins inside the solver).  It also arms the solver with the
+// run's fault plan and — when verification is on — installs the
+// package verify certificates, so every 0-1 solve in the run is
+// checked at the source.
 func solverBudget(opt *Options, ctx context.Context, start time.Time) *ilp.Solver {
-	s := ilp.Solver{}
-	if opt.Solver != nil {
-		s = *opt.Solver
-	}
-	s.Context = ctx
+	s := ilp.Solver{Context: ctx, Fault: opt.Fault}
 	if opt.Timeout > 0 {
-		if dl := start.Add(opt.Timeout); s.Deadline.IsZero() || dl.Before(s.Deadline) {
-			s.Deadline = dl
-		}
+		s.Deadline = start.Add(opt.Timeout)
 	}
-	s.Fault = opt.Fault
 	if opt.Verify.enabled() {
 		s.Certify = verify.CheckILP
 		s.CertifyLP = verify.CheckLP

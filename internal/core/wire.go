@@ -8,9 +8,9 @@ package core
 // break and must bump WireV1.
 //
 // Runtime resources deliberately have no wire representation: the
-// shared cache (Options.Cache), an adopted store (Options.Store), a
-// caller-tuned solver (Options.Solver) and a fault plan (Options.Fault)
-// are injected by the process that owns them, never by a client.  The
+// shared cache (Options.Cache), an adopted store (Options.Store) and a
+// fault plan (Options.Fault) are injected by the process that owns
+// them, never by a client.  The
 // store *directory* is likewise the server's (or the CLI invocation's)
 // resource, not the request's.
 //
@@ -181,7 +181,9 @@ func DecodeRequest(r io.Reader) (*Request, error) {
 // machine model is resolved here (name or custom table), so callers on
 // both sides reject unknown machines identically; everything else goes
 // through Options.Validate.  Runtime resources (Cache, Store/StoreDir,
-// Solver, Fault) are left zero for the caller to inject.
+// Fault) are left zero for the caller to inject.  default_trip sets
+// both trip defaults: the PCFG's loop frequencies and the dependence
+// analysis's iteration counts.
 func (r *Request) BuildOptions() (Options, error) {
 	if r.V != WireV1 {
 		return Options{}, &WireError{Msg: fmt.Sprintf("unsupported wire version %d (want %d)", r.V, WireV1)}
@@ -204,6 +206,7 @@ func (r *Request) BuildOptions() (Options, error) {
 	}
 	opt.Align.Greedy = r.GreedyAlign
 	opt.Align.ImportScale = r.ImportScale
+	opt.PCFG.DefaultTrip = r.DefaultTrip
 	opt.PCFG.IgnoreProbHints = r.IgnoreProbHints
 	opt.PCFG.DefaultProb = r.DefaultProb
 	if r.Verify {

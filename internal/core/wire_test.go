@@ -171,6 +171,62 @@ func TestBuildOptionsParity(t *testing.T) {
 	}
 }
 
+// tripTestSrc wraps two phases in a time-step loop whose bound m is
+// unknown at compile time, so its trip count is the default_trip.
+const tripTestSrc = `
+program trip
+  parameter (n = 16)
+  integer m
+  real a(n,n), b(n,n)
+  do k = 1, m
+    do j = 1, n
+      do i = 1, n
+        a(i,j) = b(i,j) + 1.0
+      end do
+    end do
+    do j = 1, n
+      do i = 1, n
+        b(i,j) = a(j,i) * 2.0
+      end do
+    end do
+  end do
+end
+`
+
+// TestBuildOptionsDefaultTrip: a request's default_trip reaches the
+// PCFG, so the frequency of a loop with an unknown bound — and with it
+// every phase's weight in the total cost — follows the request.
+func TestBuildOptionsDefaultTrip(t *testing.T) {
+	analyze := func(trip int) *Result {
+		t.Helper()
+		opt, err := (&Request{V: WireV1, Source: tripTestSrc, Procs: 8, DefaultTrip: trip}).BuildOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.PCFG.DefaultTrip != trip || opt.DefaultTrip != trip {
+			t.Fatalf("default_trip %d built PCFG.DefaultTrip %d, DefaultTrip %d", trip, opt.PCFG.DefaultTrip, opt.DefaultTrip)
+		}
+		res, err := Analyze(context.Background(), Input{Source: tripTestSrc}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	r10, r1000 := analyze(10), analyze(1000)
+	if len(r10.Phases) != 2 || len(r1000.Phases) != 2 {
+		t.Fatalf("phases = %d and %d, want 2", len(r10.Phases), len(r1000.Phases))
+	}
+	for i := range r10.Phases {
+		f10, f1000 := r10.Phases[i].Phase.Freq, r1000.Phases[i].Phase.Freq
+		if f10 != 10 || f1000 != 1000 {
+			t.Errorf("phase %d frequency = %v (trip 10) and %v (trip 1000), want 10 and 1000", i, f10, f1000)
+		}
+	}
+	if r10.TotalCost >= r1000.TotalCost {
+		t.Errorf("total cost %v (trip 10) not below %v (trip 1000)", r10.TotalCost, r1000.TotalCost)
+	}
+}
+
 // TestRequestKey pins the dedup identity: equal requests hash equal —
 // Workers, which selects nothing, included — any option change hashes
 // different, and a named machine equals its serialized table (both

@@ -60,15 +60,6 @@ type OpCount struct {
 	Stores    int // array element writes
 }
 
-// Plus returns the element-wise sum.
-func (o OpCount) Plus(p OpCount) OpCount {
-	return OpCount{
-		AddSub: o.AddSub + p.AddSub, Mul: o.Mul + p.Mul, Div: o.Div + p.Div,
-		Sqrt: o.Sqrt + p.Sqrt, Intrinsic: o.Intrinsic + p.Intrinsic,
-		Pow: o.Pow + p.Pow, Loads: o.Loads + p.Loads, Stores: o.Stores + p.Stores,
-	}
-}
-
 // AssignInfo is an analyzed assignment within a phase.
 type AssignInfo struct {
 	Stmt *fortran.Assign

@@ -732,11 +732,6 @@ const perturbEps = PerturbEps
 // negating the objective in place (restored before return).  The
 // returned Result reports the maximized objective value directly.
 func (s *Solver) Maximize(p *lp.Problem, binaries []int) (*Result, error) {
-	return s.MaximizeWS(p, binaries, nil)
-}
-
-// MaximizeWS is Maximize with a caller-owned workspace (see SolveWS).
-func (s *Solver) MaximizeWS(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result, error) {
 	n := p.NumVariables()
 	negate := func() {
 		for v := 0; v < n; v++ {
@@ -745,7 +740,7 @@ func (s *Solver) MaximizeWS(p *lp.Problem, binaries []int, ws *lp.Workspace) (*R
 	}
 	negate()
 	defer negate()
-	res, err := s.SolveWS(p, binaries, ws)
+	res, err := s.Solve(p, binaries)
 	if err != nil {
 		return nil, err
 	}

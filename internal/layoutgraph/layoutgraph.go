@@ -101,9 +101,6 @@ func (e *NoIncumbentError) Error() string {
 	return fmt.Sprintf("layoutgraph: selection ILP stopped at %v with no incumbent", e.Status)
 }
 
-// NumPhases returns the phase count.
-func (g *Graph) NumPhases() int { return len(g.NodeCost) }
-
 // validate panics on malformed graphs.
 func (g *Graph) validate() {
 	for p, costs := range g.NodeCost {

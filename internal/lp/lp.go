@@ -109,9 +109,6 @@ func (p *Problem) Name(v int) string { return p.name[v] }
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // AddConstraint appends the constraint sum(terms) rel rhs.
 func (p *Problem) AddConstraint(terms []Term, rel Relation, rhs float64) {
 	for _, t := range terms {

@@ -38,7 +38,7 @@ import (
 // requests, so everything reaching here is a distinct (source, options)
 // pair.
 func (s *Server) incrementalEligible(opt core.Options) bool {
-	return s.sessions != nil && opt.Timeout == 0 && s.cfg.Fault == nil
+	return opt.Timeout == 0 && s.cfg.Fault == nil
 }
 
 // analyzeFlight runs one admitted flight's analysis: eligible flights
@@ -122,7 +122,6 @@ func firstField(s string) (field, rest string) {
 
 // sessionTable is the bounded LRU of live sessions.
 type sessionTable struct {
-	cap   int
 	mu    sync.Mutex
 	m     map[artifact.Key]*sessionEntry
 	order []artifact.Key // LRU order, oldest first
@@ -135,8 +134,8 @@ type sessionEntry struct {
 	sess *core.Session
 }
 
-func newSessionTable(capacity int) *sessionTable {
-	return &sessionTable{cap: capacity, m: map[artifact.Key]*sessionEntry{}}
+func newSessionTable() *sessionTable {
+	return &sessionTable{m: map[artifact.Key]*sessionEntry{}}
 }
 
 // entry returns the family's entry, creating it (and evicting the
@@ -148,7 +147,7 @@ func (t *sessionTable) entry(key artifact.Key) *sessionEntry {
 		t.touch(key)
 		return e
 	}
-	if len(t.m) >= t.cap && len(t.order) > 0 {
+	if len(t.m) >= maxSessions && len(t.order) > 0 {
 		oldest := t.order[0]
 		t.order = t.order[1:]
 		delete(t.m, oldest)
@@ -169,11 +168,8 @@ func (t *sessionTable) touch(key artifact.Key) {
 	}
 }
 
-// size reports the live session population (nil-safe, for metrics).
+// size reports the live session population (for metrics).
 func (t *sessionTable) size() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.m)

@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -75,8 +76,7 @@ func TestIncrementalFlightMatchesCold(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbacks: a budgeted flight, and every flight on a
-// server with incremental off, run the cold path.
+// TestIncrementalFallbacks: a budgeted flight runs the cold path.
 func TestIncrementalFallbacks(t *testing.T) {
 	srv := newTestServer(t, Config{MaxInFlight: 2})
 	rec := post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8, TimeoutMS: 60000}))
@@ -86,32 +86,25 @@ func TestIncrementalFallbacks(t *testing.T) {
 	if got := srv.m.incrementalFlights.Load(); got != 0 {
 		t.Errorf("budgeted flight took the incremental path (%d flights)", got)
 	}
-
-	off := newTestServer(t, Config{MaxInFlight: 2, MaxSessions: -1})
-	if rec := post(off, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8})); rec.Code != http.StatusOK {
-		t.Fatalf("post with sessions off: status %d", rec.Code)
-	}
-	if off.sessions != nil || off.m.incrementalFlights.Load() != 0 {
-		t.Error("MaxSessions < 0 did not disable the incremental path")
-	}
 }
 
-// TestSessionTableBounded: posting more program families than
-// MaxSessions keeps the table at its cap (LRU eviction), and every
+// TestSessionTableBounded: posting one program family more than the
+// session cap keeps the table at its cap (LRU eviction), and every
 // family still answers correctly.
 func TestSessionTableBounded(t *testing.T) {
-	srv := newTestServer(t, Config{MaxInFlight: 2, MaxSessions: 2})
-	for _, name := range []string{"fam1", "fam2", "fam3"} {
+	srv := newTestServer(t, Config{MaxInFlight: 2})
+	for i := 0; i <= maxSessions; i++ {
+		name := fmt.Sprintf("fam%d", i)
 		src := strings.Replace(testSrc, "program svc", "program "+name, 1)
 		if rec := post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: src, Procs: 8})); rec.Code != http.StatusOK {
 			t.Fatalf("family %s: status %d", name, rec.Code)
 		}
 	}
-	if got := srv.sessions.size(); got != 2 {
-		t.Errorf("session table size = %d, want cap 2", got)
+	if got := srv.sessions.size(); got != maxSessions {
+		t.Errorf("session table size = %d, want cap %d", got, maxSessions)
 	}
-	if got := srv.m.incrementalFlights.Load(); got != 3 {
-		t.Errorf("incremental_flights = %d, want 3", got)
+	if got := srv.m.incrementalFlights.Load(); got != maxSessions+1 {
+		t.Errorf("incremental_flights = %d, want %d", got, maxSessions+1)
 	}
 }
 

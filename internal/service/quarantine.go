@@ -8,8 +8,8 @@ package service
 // crash.  The crash table makes the service crash-only about it: a
 // flight that ends in a recovered panic, an *core.InternalError, an
 // injected fault or a watchdog abandonment marks its Request.Key; a
-// key that reaches the configured crash count is quarantined for a TTL
-// and answered with an immediate typed 422 (core.KindQuarantined)
+// key that reaches quarantineAfter crashes is quarantined for the
+// policy's TTL and answered with an immediate typed 422 (core.KindQuarantined)
 // instead of re-crashing the analyzer.  After the TTL the key gets a
 // fresh start — a crash caused by since-fixed server state should not
 // condemn an input forever.
@@ -36,27 +36,22 @@ type crashEntry struct {
 // concurrent use.
 type crashTable struct {
 	mu      sync.Mutex
-	after   int           // crashes before a key is quarantined (≤ 0 disables)
 	ttl     time.Duration // quarantine duration
-	cap     int           // bound on tracked keys
 	entries map[artifact.Key]*crashEntry
 }
 
-func newCrashTable(after int, ttl time.Duration, capacity int) *crashTable {
-	return &crashTable{after: after, ttl: ttl, cap: capacity, entries: map[artifact.Key]*crashEntry{}}
+func newCrashTable(ttl time.Duration) *crashTable {
+	return &crashTable{ttl: ttl, entries: map[artifact.Key]*crashEntry{}}
 }
 
-// record marks one crash of key and reports whether the key is now
-// quarantined.
-func (t *crashTable) record(key artifact.Key, now time.Time) bool {
-	if t.after <= 0 {
-		return false
-	}
+// record marks one crash of key, quarantining it once it reaches the
+// crash count.
+func (t *crashTable) record(key artifact.Key, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entries[key]
 	if e == nil {
-		if len(t.entries) >= t.cap {
+		if len(t.entries) >= quarantineCap {
 			t.evictOldestLocked()
 		}
 		e = &crashEntry{}
@@ -64,19 +59,15 @@ func (t *crashTable) record(key artifact.Key, now time.Time) bool {
 	}
 	e.crashes++
 	e.last = now
-	if e.crashes >= t.after {
+	if e.crashes >= quarantineAfter {
 		e.until = now.Add(t.ttl)
 	}
-	return !e.until.IsZero()
 }
 
 // blocked reports whether key is currently quarantined; on true it
 // returns the expiry and the crash count behind the decision.  An
 // expired quarantine deletes the entry — the key earned a fresh start.
 func (t *crashTable) blocked(key artifact.Key, now time.Time) (until time.Time, crashes int, ok bool) {
-	if t.after <= 0 {
-		return time.Time{}, 0, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entries[key]

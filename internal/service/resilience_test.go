@@ -37,15 +37,10 @@ func TestWatchdogReclaimsSlot(t *testing.T) {
 	// plain time.Sleep, deliberately deaf to cancellation, so the grace
 	// period (40ms) expires and the goroutine is abandoned.
 	plan := fault.NewPlan(1).Arm(stage.ServiceFlight, fault.Rule{Action: fault.Delay, Delay: 300 * time.Millisecond, After: 1})
-	cfg := Config{
-		MaxInFlight:      1,
-		DefaultTimeout:   10 * time.Millisecond,
-		WatchdogMultiple: 1,
-		WatchdogFloor:    10 * time.Millisecond,
-		WatchdogGrace:    40 * time.Millisecond,
-		Fault:            plan,
-	}
-	srv := newTestServer(t, cfg)
+	cfg := Config{MaxInFlight: 1, DefaultTimeout: 10 * time.Millisecond, Fault: plan}
+	pol := defaultPolicy
+	pol.watchdogMultiple, pol.watchdogFloor, pol.watchdogGrace = 1, 10*time.Millisecond, 40*time.Millisecond
+	srv := newPolicyServer(t, cfg, pol)
 
 	rec := post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8}))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -83,7 +78,8 @@ func TestWatchdogReclaimsSlot(t *testing.T) {
 }
 
 // TestWatchdogUnbudgetedHasNoWall: with no budget anywhere there is no
-// wall to multiply — the analysis runs unwatched (and completes).
+// wall to multiply — the analysis runs unwatched (and completes), even
+// when it outlasts the wall a budgeted flight would have had.
 func TestWatchdogUnbudgetedHasNoWall(t *testing.T) {
 	srv := newTestServer(t, Config{MaxInFlight: 1})
 	if wall := srv.analysisWall(0); wall != 0 {
@@ -92,25 +88,31 @@ func TestWatchdogUnbudgetedHasNoWall(t *testing.T) {
 	if wall := srv.analysisWall(time.Second); wall != 2*time.Second+8*time.Second {
 		t.Errorf("budgeted wall = %v, want floor+8×budget = 10s", wall)
 	}
-	srvOff := newTestServer(t, Config{MaxInFlight: 1, WatchdogMultiple: -1})
-	if wall := srvOff.analysisWall(time.Second); wall != 0 {
-		t.Errorf("disabled watchdog wall = %v, want 0", wall)
+
+	// A 60ms wedge under a 1ms floor: any wall would trip, so a 200 with
+	// no trip proves the unbudgeted flight ran unwatched.
+	plan := fault.NewPlan(1).Arm(stage.ServiceFlight, fault.Rule{Action: fault.Delay, Delay: 60 * time.Millisecond})
+	pol := defaultPolicy
+	pol.watchdogMultiple, pol.watchdogFloor, pol.watchdogGrace = 1, time.Millisecond, time.Millisecond
+	slow := newPolicyServer(t, Config{MaxInFlight: 1, Fault: plan}, pol)
+	if rec := post(slow, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8})); rec.Code != http.StatusOK {
+		t.Fatalf("unbudgeted wedged flight: status %d, want 200 (body %.200s)", rec.Code, rec.Body)
+	}
+	if got := slow.m.watchdogTrips.Load(); got != 0 {
+		t.Errorf("watchdog_trips = %d on an unbudgeted flight, want 0", got)
 	}
 }
 
 // TestQuarantinePoisonedKey: a key whose analysis panics is retried
-// once (QuarantineAfter = 2), quarantined on the second crash, answered
-// with an immediate typed 422 on the third arrival — without running
-// the analyzer — and earns a fresh start after the TTL.
+// once (the policy quarantines after 2 crashes), quarantined on the
+// second crash, answered with an immediate typed 422 on the third
+// arrival — without running the analyzer — and earns a fresh start
+// after the TTL.
 func TestQuarantinePoisonedKey(t *testing.T) {
 	plan := fault.NewPlan(2).Arm(stage.ServiceFlight, fault.Rule{Action: fault.Panic})
-	cfg := Config{
-		MaxInFlight:     2,
-		QuarantineAfter: 2,
-		QuarantineTTL:   200 * time.Millisecond,
-		Fault:           plan,
-	}
-	srv := newTestServer(t, cfg)
+	pol := defaultPolicy
+	pol.quarantineTTL = 200 * time.Millisecond
+	srv := newPolicyServer(t, Config{MaxInFlight: 2, Fault: plan}, pol)
 	body := requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 8})
 
 	// Crashes 1 and 2: the panic crosses the service's recovery
@@ -234,13 +236,10 @@ func TestShedderUnit(t *testing.T) {
 // of joining an already-hopeless queue — while the queued leaders are
 // still served once the slot frees.
 func TestAdaptiveShedIntegration(t *testing.T) {
-	cfg := Config{
-		MaxInFlight: 1,
-		MaxQueue:    8,
-		QueueTarget: time.Millisecond,
-		QueueWindow: 20 * time.Millisecond,
-	}
-	srv := newTestServer(t, cfg)
+	cfg := Config{MaxInFlight: 1, MaxQueue: 8}
+	pol := defaultPolicy
+	pol.queueTarget, pol.queueWindow = time.Millisecond, 20*time.Millisecond
+	srv := newPolicyServer(t, cfg, pol)
 	reqA := &core.Request{V: core.WireV1, Source: testSrc, Procs: 8}
 	keyA := keyOf(t, cfg, reqA)
 	release := make(chan struct{})
@@ -272,7 +271,19 @@ func TestAdaptiveShedIntegration(t *testing.T) {
 	}()
 	waitFor(t, "arrival C1 to queue", func() bool { return srv.queued.Load() == 2 })
 	time.Sleep(30 * time.Millisecond)
-	recC := post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 64}))
+	doneC := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		doneC <- post(srv, requestBody(t, &core.Request{V: core.WireV1, Source: testSrc, Procs: 64}))
+	}()
+	var recC *httptest.ResponseRecorder
+	select {
+	case recC = <-doneC:
+	case <-time.After(5 * time.Second):
+		// Queued behind the wedged slot instead of shed: unwedge so the
+		// server can close, then fail.
+		close(release)
+		t.Fatal("arrival after a wedged window was queued, not shed")
+	}
 	if recC.Code != http.StatusTooManyRequests {
 		t.Fatalf("arrival after a wedged window answered %d, want 429 (body %.200s)", recC.Code, recC.Body)
 	}

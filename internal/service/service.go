@@ -83,7 +83,10 @@ import (
 )
 
 // Config parameterizes a Server.  The zero value is a working
-// memory-only server with sensible bounds.
+// memory-only server with sensible bounds.  It holds only what an
+// operator sizes to the host: capacities, budgets and the store path.
+// The mechanisms' own tuning (shedder, watchdog, quarantine, session
+// table) is the fixed policy below.
 type Config struct {
 	// MaxInFlight bounds concurrently running analyses (0 ⇒ NumCPU).
 	MaxInFlight int
@@ -92,37 +95,6 @@ type Config struct {
 	// beyond the bound is answered 429 immediately (0 ⇒ 64, negative ⇒
 	// no queue: reject as soon as MaxInFlight is busy).
 	MaxQueue int
-	// QueueTarget is the CoDel-style standing queueing-delay target:
-	// when the minimum admission delay over a whole QueueWindow stays
-	// above it, new leaders are shed early with 429 + an honest
-	// Retry-After from the measured drain rate (0 ⇒ 50ms, negative ⇒
-	// adaptive shedding off, fixed bounds only).
-	QueueTarget time.Duration
-	// QueueWindow is the shedder's observation interval (0 ⇒ 1s).
-	QueueWindow time.Duration
-	// WatchdogMultiple is the hard wall-clock bound on one analysis as
-	// a multiple of its clamped budget: wall = WatchdogFloor +
-	// WatchdogMultiple × budget.  A flight past its wall is canceled,
-	// stack-dumped and its slot reclaimed (0 ⇒ 8, negative ⇒ watchdog
-	// off).  Unbudgeted requests have no wall — give every request a
-	// budget via DefaultTimeout/MaxTimeout to arm the watchdog fully.
-	WatchdogMultiple int
-	// WatchdogFloor is added to every wall so microscopic budgets (a
-	// 1ns degradation probe) are not instant trips (0 ⇒ 2s).
-	WatchdogFloor time.Duration
-	// WatchdogGrace is how long a tripped flight may unwind after
-	// cancellation before its goroutine is abandoned (0 ⇒ 1s).
-	WatchdogGrace time.Duration
-	// QuarantineAfter is how many crashes (recovered panics, internal
-	// errors, watchdog abandonments) a request key is allowed before it
-	// is quarantined (0 ⇒ 2, negative ⇒ quarantine off).
-	QuarantineAfter int
-	// QuarantineTTL is how long a quarantined key is rejected with a
-	// typed 422 before it earns a fresh start (0 ⇒ 5m).
-	QuarantineTTL time.Duration
-	// QuarantineCap bounds the crash table (0 ⇒ 1024 keys; the oldest
-	// crasher is evicted beyond that).
-	QuarantineCap int
 	// DrainTimeout bounds how long Close waits for in-flight flights
 	// to complete before cutting them off and closing the store (0 ⇒ 15s).
 	DrainTimeout time.Duration
@@ -133,24 +105,15 @@ type Config struct {
 	// The store is opened once at NewServer and shared by every
 	// request, so warm state survives restarts.
 	StoreDir string
-	// Store adopts an already opened store instead of opening StoreDir
-	// (the caller owns its lifetime).  Wins over StoreDir.
-	Store *store.Store
 	// DefaultTimeout is applied to requests that carry no timeout_ms;
 	// MaxTimeout caps every request's budget.  Zero means none.  The
 	// clamp happens before the request is keyed, so two requests that
-	// clamp to the same effective budget deduplicate.
+	// clamp to the same effective budget deduplicate.  Only a budgeted
+	// request has a watchdog wall.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// MaxBodyBytes bounds the request body (0 ⇒ 16 MiB).
 	MaxBodyBytes int64
-	// MaxSessions bounds the edit-aware session table: unbudgeted
-	// flights for the same program family are served through an
-	// incremental core.Session (Update) instead of a cold Analyze, so a
-	// client iterating on one program replays only the artifacts
-	// downstream of each edit (0 ⇒ 8 sessions, negative ⇒ incremental
-	// path off; see incremental.go).
-	MaxSessions int
 	// Fault arms the chaos fault-injection plan on every request, on
 	// the server-opened store, and at the service-flight site (nil
 	// outside tests).
@@ -164,40 +127,54 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 64
 	}
-	if c.QueueTarget == 0 {
-		c.QueueTarget = 50 * time.Millisecond
-	}
-	if c.QueueWindow <= 0 {
-		c.QueueWindow = time.Second
-	}
-	if c.WatchdogMultiple == 0 {
-		c.WatchdogMultiple = 8
-	}
-	if c.WatchdogFloor <= 0 {
-		c.WatchdogFloor = 2 * time.Second
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = time.Second
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 2
-	}
-	if c.QuarantineTTL <= 0 {
-		c.QuarantineTTL = 5 * time.Minute
-	}
-	if c.QuarantineCap <= 0 {
-		c.QuarantineCap = 1024
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 8
-	}
 	return c
+}
+
+// The fixed tuning of the server's self-protection mechanisms.  Every
+// value here is the one NewServer runs; the timings sit in
+// defaultPolicy because in-package tests shorten them (newServer) to
+// make the mechanisms trip in milliseconds, the counts are constants.
+const (
+	// A request key that crashed the analyzer quarantineAfter times is
+	// rejected with a typed 422 for policy.quarantineTTL; the crash
+	// table keeps at most quarantineCap keys (quarantine.go).
+	quarantineAfter = 2
+	quarantineCap   = 1024
+	// maxSessions bounds the edit-aware session table (incremental.go).
+	maxSessions = 8
+)
+
+// policy holds the mechanisms' timings.
+type policy struct {
+	// queueTarget is the CoDel-style standing queueing-delay target:
+	// when the minimum admission delay over a whole queueWindow stays
+	// above it, new leaders are shed early with 429 + an honest
+	// Retry-After from the measured drain rate (shed.go).
+	queueTarget, queueWindow time.Duration
+	// A flight's hard wall clock is watchdogFloor + watchdogMultiple ×
+	// its clamped budget (the floor keeps a 1ns degradation probe from
+	// tripping at once); past it the flight is canceled, stack-dumped
+	// and its slot reclaimed, and after watchdogGrace more its goroutine
+	// is abandoned (watchdog.go).
+	watchdogMultiple             int
+	watchdogFloor, watchdogGrace time.Duration
+	// quarantineTTL is how long a quarantined key stays rejected.
+	quarantineTTL time.Duration
+}
+
+var defaultPolicy = policy{
+	queueTarget:      50 * time.Millisecond,
+	queueWindow:      time.Second,
+	watchdogMultiple: 8,
+	watchdogFloor:    2 * time.Second,
+	watchdogGrace:    time.Second,
+	quarantineTTL:    5 * time.Minute,
 }
 
 // flight is one in-progress (or just-finished) analysis shared by
@@ -223,10 +200,10 @@ const (
 // Server multiplexes layout-analysis requests.  Create with NewServer;
 // it implements http.Handler.
 type Server struct {
-	cfg      Config
-	cache    *core.SharedCache
-	store    *store.Store
-	ownStore bool
+	cfg   Config
+	pol   policy
+	cache *core.SharedCache
+	store *store.Store // nil ⇒ no L3
 
 	// baseCtx outlives any single request: a flight with waiters must
 	// finish even if the leader's client disconnects.  Close cancels it
@@ -248,7 +225,7 @@ type Server struct {
 
 	shed     *shedder
 	crashes  *crashTable
-	sessions *sessionTable // edit-aware session families (nil ⇒ incremental path off)
+	sessions *sessionTable // edit-aware session families
 
 	mu      sync.Mutex
 	flights map[artifact.Key]*flight
@@ -262,36 +239,35 @@ type Server struct {
 }
 
 // NewServer builds a server: one shared cache, one store (opened from
-// cfg.StoreDir unless cfg.Store is adopted).  A store directory that
-// cannot be opened is a configuration error and fails construction —
-// the operator asked for an L3 the process cannot provide; per-request
-// store trouble after a successful open still degrades, never fails.
-func NewServer(cfg Config) (*Server, error) {
+// cfg.StoreDir).  A store directory that cannot be opened is a
+// configuration error and fails construction — the operator asked for
+// an L3 the process cannot provide; per-request store trouble after a
+// successful open still degrades, never fails.
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, defaultPolicy) }
+
+// newServer is NewServer under a given policy — the seam tests use to
+// shorten the mechanisms' timings.
+func newServer(cfg Config, pol policy) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		cache:   core.NewSharedCache(cfg.CacheCapacity),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		flights: map[artifact.Key]*flight{},
-		drainCh: make(chan struct{}),
-		shed:    newShedder(cfg.QueueTarget, cfg.QueueWindow),
-		crashes: newCrashTable(cfg.QuarantineAfter, cfg.QuarantineTTL, cfg.QuarantineCap),
+		cfg:      cfg,
+		pol:      pol,
+		cache:    core.NewSharedCache(cfg.CacheCapacity),
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		flights:  map[artifact.Key]*flight{},
+		drainCh:  make(chan struct{}),
+		shed:     newShedder(pol.queueTarget, pol.queueWindow),
+		crashes:  newCrashTable(pol.quarantineTTL),
+		sessions: newSessionTable(),
 	}
-	if cfg.MaxSessions > 0 {
-		s.sessions = newSessionTable(cfg.MaxSessions)
-	}
-	s.baseCtx, s.cancel = context.WithCancel(context.Background())
-	switch {
-	case cfg.Store != nil:
-		s.store = cfg.Store
-	case cfg.StoreDir != "":
+	if cfg.StoreDir != "" {
 		st, err := store.Open(store.Options{Dir: cfg.StoreDir, Fault: cfg.Fault})
 		if err != nil {
 			return nil, fmt.Errorf("service: opening artifact store: %w", err)
 		}
 		s.store = st
-		s.ownStore = true
 	}
+	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	return s, nil
 }
 
@@ -315,7 +291,7 @@ func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
 // Close is the crash-only exit path: drain, wait for in-flight
 // flights (bounded by DrainTimeout), only then cancel stragglers and
-// close a server-owned store — so a racing flight can never write to
+// close the store — so a racing flight can never write to
 // a closing store, and a clean shutdown leaves the L3 fully synced.
 // Idempotent.
 func (s *Server) Close() error {
@@ -329,9 +305,9 @@ func (s *Server) Close() error {
 			// (A store racing a truly wedged, watchdog-abandoned flight
 			// still degrades rather than fails — but a clean drain never
 			// relies on that.)
-			s.running.waitZero(s.cfg.WatchdogGrace)
+			s.running.waitZero(s.pol.watchdogGrace)
 		}
-		if s.ownStore && s.store != nil {
+		if s.store != nil {
 			s.closeErr = s.store.Close()
 		}
 	})
@@ -480,7 +456,7 @@ func (s *Server) runFlight(f *flight, key artifact.Key, req *core.Request, opt c
 		f.status = http.StatusTooManyRequests
 		f.retryAfter = fmt.Sprintf("%d", ra)
 		f.body = errorBody(core.KindOverloaded,
-			fmt.Sprintf("standing queueing delay over target (%v); retry after ~%ds", s.cfg.QueueTarget, ra), "")
+			fmt.Sprintf("standing queueing delay over target (%v); retry after ~%ds", s.pol.queueTarget, ra), "")
 		return
 	case admitFull:
 		s.m.rejected.Add(1)
@@ -552,7 +528,7 @@ func (s *Server) admit() admitResult {
 	if s.Draining() {
 		return admitDraining
 	}
-	if s.cfg.QueueTarget >= 0 && s.shed.shouldShed(time.Now(), int(s.queued.Load())) {
+	if s.shed.shouldShed(time.Now(), int(s.queued.Load())) {
 		return admitShed
 	}
 	if s.cfg.MaxQueue < 0 {

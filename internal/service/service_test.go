@@ -47,7 +47,13 @@ end
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	srv, err := NewServer(cfg)
+	return newPolicyServer(t, cfg, defaultPolicy)
+}
+
+// newPolicyServer is newTestServer under a shortened policy.
+func newPolicyServer(t *testing.T, cfg Config, pol policy) *Server {
+	t.Helper()
+	srv, err := newServer(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +104,30 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDefaultPolicyPinned: the fixed policy every NewServer runs is
+// the tuning the daemon always shipped with — a change here is a
+// behaviour change of every deployment, not a refactor.
+func TestDefaultPolicyPinned(t *testing.T) {
+	want := policy{
+		queueTarget:      50 * time.Millisecond,
+		queueWindow:      time.Second,
+		watchdogMultiple: 8,
+		watchdogFloor:    2 * time.Second,
+		watchdogGrace:    time.Second,
+		quarantineTTL:    5 * time.Minute,
+	}
+	if defaultPolicy != want {
+		t.Errorf("defaultPolicy = %+v, want %+v", defaultPolicy, want)
+	}
+	if srv := newTestServer(t, Config{}); srv.pol != want {
+		t.Errorf("NewServer policy = %+v, want %+v", srv.pol, want)
+	}
+	if quarantineAfter != 2 || quarantineCap != 1024 || maxSessions != 8 {
+		t.Errorf("quarantineAfter, quarantineCap, maxSessions = %d, %d, %d, want 2, 1024, 8",
+			quarantineAfter, quarantineCap, maxSessions)
 	}
 }
 

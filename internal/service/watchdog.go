@@ -35,10 +35,10 @@ import (
 // watchdog — a request the operator left unbudgeted (no timeout_ms, no
 // -default-timeout, no -max-timeout) has no clamped budget to multiply.
 func (s *Server) analysisWall(budget time.Duration) time.Duration {
-	if s.cfg.WatchdogMultiple < 0 || budget <= 0 {
+	if budget <= 0 {
 		return 0
 	}
-	return s.cfg.WatchdogFloor + time.Duration(s.cfg.WatchdogMultiple)*budget
+	return s.pol.watchdogFloor + time.Duration(s.pol.watchdogMultiple)*budget
 }
 
 // outcome is one analysis goroutine's result.
@@ -96,7 +96,7 @@ func (s *Server) runAnalysis(req *core.Request, opt core.Options) outcome {
 	s.m.watchdogTrips.Add(1)
 	stack := goroutineDump()
 	cancel()
-	grace := time.NewTimer(s.cfg.WatchdogGrace)
+	grace := time.NewTimer(s.pol.watchdogGrace)
 	defer grace.Stop()
 	select {
 	case <-ch:

@@ -22,7 +22,8 @@
 //     listing itself condemns (temp files, foreign names, files too
 //     short to be a record).
 //   - Degradation over failure.  Transient IO errors are retried with
-//     bounded exponential backoff; errors that persist surface as typed
+//     bounded exponential backoff (the fixed defaultPolicy below);
+//     errors that persist surface as typed
 //     errors the caller (core) converts into memory-only degradation,
 //     never an analysis failure.
 //
@@ -68,13 +69,19 @@ type Options struct {
 	// Fault is the fault-injection plan for the store-open, store-read
 	// and store-write chaos sites; nil disarms them.
 	Fault *fault.Plan
-	// Attempts bounds the IO attempts per read or write, including the
-	// first (≤ 0 means 3).  Retries back off exponentially.
-	Attempts int
-	// Backoff is the sleep before the first retry, doubling per retry
-	// (≤ 0 means 1ms).
-	Backoff time.Duration
 }
+
+// policy is the store's fixed IO retry tuning.  Open always uses
+// defaultPolicy; only in-package tests change it (open).
+type policy struct {
+	// attempts bounds the IO attempts per open, read or write,
+	// including the first.
+	attempts int
+	// backoff is the sleep before the first retry, doubling per retry.
+	backoff time.Duration
+}
+
+var defaultPolicy = policy{attempts: 3, backoff: time.Millisecond}
 
 // OpenError reports a store directory that could not be opened or
 // scanned; the caller should degrade to memory-only caching.
@@ -118,8 +125,7 @@ type Store struct {
 	dir      string
 	maxBytes int64
 	fault    *fault.Plan
-	attempts int
-	backoff  time.Duration
+	pol      policy
 
 	mu     sync.Mutex
 	index  map[string]*entry // file name → entry
@@ -167,16 +173,16 @@ func retryable(err error) bool {
 	return true
 }
 
-// withRetry runs op up to s.attempts times with exponential backoff,
-// returning the last error.
+// withRetry runs op up to the policy's attempts with exponential
+// backoff, returning the last error.
 func (s *Store) withRetry(site string, op func() error) error {
-	backoff := s.backoff
+	backoff := s.pol.backoff
 	var err error
-	for i := 0; i < s.attempts; i++ {
+	for i := 0; i < s.pol.attempts; i++ {
 		if err = guardPanic(site, op); err == nil || !retryable(err) {
 			return err
 		}
-		if i+1 < s.attempts {
+		if i+1 < s.pol.attempts {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
@@ -189,24 +195,20 @@ func (s *Store) withRetry(site string, op func() error) error {
 // record, and indexes the rest from the directory listing without
 // reading them.  Their LRU order is their modification order (oldest
 // first to go).  An unreadable directory returns a typed *OpenError.
-func Open(opt Options) (*Store, error) {
+func Open(opt Options) (*Store, error) { return open(opt, defaultPolicy) }
+
+// open is Open under a given retry policy.
+func open(opt Options, pol policy) (*Store, error) {
 	s := &Store{
 		dir:      opt.Dir,
 		maxBytes: opt.MaxBytes,
 		fault:    opt.Fault,
-		attempts: opt.Attempts,
-		backoff:  opt.Backoff,
+		pol:      pol,
 		index:    map[string]*entry{},
 		flight:   map[string]*flightCall{},
 	}
 	if s.maxBytes <= 0 {
 		s.maxBytes = DefaultMaxBytes
-	}
-	if s.attempts <= 0 {
-		s.attempts = 3
-	}
-	if s.backoff <= 0 {
-		s.backoff = time.Millisecond
 	}
 	if opt.Dir == "" {
 		return nil, &OpenError{Dir: opt.Dir, Err: errors.New("empty directory")}

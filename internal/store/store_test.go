@@ -17,11 +17,29 @@ import (
 
 func mustOpen(t *testing.T, opt Options) *Store {
 	t.Helper()
-	s, err := Open(opt)
+	return mustOpenPolicy(t, opt, defaultPolicy)
+}
+
+// mustOpenPolicy opens under a test retry policy.
+func mustOpenPolicy(t *testing.T, opt Options, pol policy) *Store {
+	t.Helper()
+	s, err := open(opt, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestDefaultPolicyPinned: Open retries IO the way the store always
+// has — 3 attempts, backing off from 1ms.
+func TestDefaultPolicyPinned(t *testing.T) {
+	want := policy{attempts: 3, backoff: time.Millisecond}
+	if defaultPolicy != want {
+		t.Errorf("defaultPolicy = %+v, want %+v", defaultPolicy, want)
+	}
+	if s := mustOpen(t, Options{Dir: t.TempDir()}); s.pol != want {
+		t.Errorf("Open policy = %+v, want %+v", s.pol, want)
+	}
 }
 
 // TestRecordRoundTrip: encode → decode returns the original key and
@@ -264,7 +282,7 @@ func TestStoreSemanticQuarantine(t *testing.T) {
 func TestStoreAtomicPut(t *testing.T) {
 	dir := t.TempDir()
 	plan := fault.NewPlan(3).Arm(stage.StoreWrite, fault.Rule{Action: fault.Fail})
-	s := mustOpen(t, Options{Dir: dir, Fault: plan, Attempts: 2})
+	s := mustOpenPolicy(t, Options{Dir: dir, Fault: plan}, policy{attempts: 2, backoff: time.Millisecond})
 	err := s.Put("k", []byte("doomed"))
 	var fe *fault.Error
 	if !errors.As(err, &fe) {
@@ -329,7 +347,7 @@ func TestStoreRetryRecovers(t *testing.T) {
 	warm := mustOpen(t, Options{Dir: dir})
 	warm.Put("k", []byte("v"))
 	plan := fault.NewPlan(1).Arm(stage.StoreRead, fault.Rule{Action: fault.Fail, After: 1})
-	s := mustOpen(t, Options{Dir: dir, Fault: plan, Attempts: 3, Backoff: time.Microsecond})
+	s := mustOpenPolicy(t, Options{Dir: dir, Fault: plan}, policy{attempts: 3, backoff: time.Microsecond})
 	p, ok, err := s.Get("k")
 	if err != nil || !ok || string(p) != "v" {
 		t.Fatalf("Get after transient fault = %q, %v, %v", p, ok, err)
@@ -349,7 +367,7 @@ func TestStoreReadFailsAfterRetries(t *testing.T) {
 	warm := mustOpen(t, Options{Dir: dir})
 	warm.Put("k", []byte("v"))
 	plan := fault.NewPlan(1).Arm(stage.StoreRead, fault.Rule{Action: fault.Fail})
-	s := mustOpen(t, Options{Dir: dir, Fault: plan, Attempts: 3, Backoff: time.Microsecond})
+	s := mustOpenPolicy(t, Options{Dir: dir, Fault: plan}, policy{attempts: 3, backoff: time.Microsecond})
 	_, ok, err := s.Get("k")
 	if ok || err == nil {
 		t.Fatalf("Get = %v, %v", ok, err)
@@ -371,7 +389,7 @@ func TestStorePanicContained(t *testing.T) {
 	for _, site := range []string{stage.StoreOpen, stage.StoreRead, stage.StoreWrite} {
 		t.Run(site, func(t *testing.T) {
 			plan := fault.NewPlan(1).Arm(site, fault.Rule{Action: fault.Panic})
-			s, err := Open(Options{Dir: dir, Fault: plan, Attempts: 1})
+			s, err := open(Options{Dir: dir, Fault: plan}, policy{attempts: 1})
 			if site == stage.StoreOpen {
 				if err == nil {
 					t.Fatal("open survived an injected panic")
@@ -518,7 +536,7 @@ func TestStoreOpenErrors(t *testing.T) {
 		t.Fatalf("open over a plain file: %v (%T)", err, err)
 	}
 	plan := fault.NewPlan(1).Arm(stage.StoreOpen, fault.Rule{Action: fault.Fail})
-	if _, err := Open(Options{Dir: t.TempDir(), Fault: plan, Attempts: 1}); !errors.As(err, &oe) {
+	if _, err := open(Options{Dir: t.TempDir(), Fault: plan}, policy{attempts: 1}); !errors.As(err, &oe) {
 		t.Fatalf("injected open failure: %v (%T)", err, err)
 	}
 }
