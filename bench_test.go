@@ -387,7 +387,7 @@ func BenchmarkAlignmentResolution01(b *testing.B) {
 	}
 	var stats cag.Stats
 	for i := 0; i < b.N; i++ {
-		res, err := cag.Resolve(g, 2, &ilp.Solver{})
+		res, err := cag.Resolve(g, 2, &ilp.Solver{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -476,7 +476,7 @@ func BenchmarkSelectionUnderDeadline(b *testing.B) {
 	var sel *layoutgraph.Selection
 	for i := 0; i < b.N; i++ {
 		var err error
-		sel, err = g.SolveILP(&ilp.Solver{MaxTime: 50 * time.Millisecond})
+		sel, err = g.SolveILP(&ilp.Solver{Deadline: time.Now().Add(50 * time.Millisecond)}, nil)
 		var noInc *layoutgraph.NoIncumbentError
 		if errors.As(err, &noInc) {
 			// The budget expired before any incumbent: the same greedy

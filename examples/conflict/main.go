@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("conflicting CAG:", g)
 	fmt.Println("has conflict:", g.HasConflict())
 
-	res, err := cag.Resolve(g, 2, nil)
+	res, err := cag.Resolve(g, 2, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

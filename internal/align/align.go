@@ -387,7 +387,7 @@ func resolveOne(g *cag.Graph, d int, opt Options, ws *lp.Workspace, where string
 	if opt.Greedy {
 		res, err = cag.ResolveGreedy(g, d)
 	} else {
-		res, err = cag.ResolveWS(g, d, opt.Solver, ws)
+		res, err = cag.Resolve(g, d, opt.Solver, ws)
 	}
 	if err != nil {
 		return nil, err
@@ -542,65 +542,4 @@ func sameAlignment(a, b *layout.Alignment) bool {
 		}
 	}
 	return true
-}
-
-// MatchOrientations reorients each candidate after the first to agree
-// with the first candidate's assignment as much as possible, weighting
-// disagreement by array size — the lattice-meet-based strategy sketched
-// in §2.2.1 for minimizing potential remapping costs.  With the
-// prototype's one-dimensional block distributions orientation is
-// immaterial (§3.2), but the multi-dimensional extension uses this.
-func MatchOrientations(u *fortran.Unit, cands []*Candidate, d int) {
-	if len(cands) < 2 {
-		return
-	}
-	ref := cands[0].Assignment
-	perms := permutations(d)
-	for _, c := range cands[1:] {
-		bestScore := -1.0
-		var best map[cag.Node]int
-		for _, perm := range perms {
-			remapped := map[cag.Node]int{}
-			score := 0.0
-			for n, k := range c.Assignment {
-				remapped[n] = perm[k]
-				if rk, ok := ref[n]; ok && rk == perm[k] {
-					if arr := u.Arrays[n.Array]; arr != nil {
-						score += float64(arr.Bytes())
-					} else {
-						score++
-					}
-				}
-			}
-			if score > bestScore {
-				bestScore = score
-				best = remapped
-			}
-		}
-		c.Assignment = best
-	}
-}
-
-// permutations enumerates all permutations of 0..d-1.
-func permutations(d int) [][]int {
-	if d == 0 {
-		return [][]int{{}}
-	}
-	var out [][]int
-	var rec func(cur []int, used []bool)
-	rec = func(cur []int, used []bool) {
-		if len(cur) == d {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for k := 0; k < d; k++ {
-			if !used[k] {
-				used[k] = true
-				rec(append(cur, k), used)
-				used[k] = false
-			}
-		}
-	}
-	rec(nil, make([]bool, d))
-	return out
 }

@@ -279,27 +279,6 @@ end
 	}
 }
 
-func TestMatchOrientations(t *testing.T) {
-	u, _, _ := setup(t, canonicalTwoPhase)
-	a1 := map[cag.Node]int{{Array: "a", Dim: 0}: 0, {Array: "a", Dim: 1}: 1}
-	// Candidate 2 is the same alignment oriented oppositely.
-	a2 := map[cag.Node]int{{Array: "a", Dim: 0}: 1, {Array: "a", Dim: 1}: 0}
-	cands := []*Candidate{{Assignment: a1}, {Assignment: a2}}
-	MatchOrientations(u, cands, 2)
-	if cands[1].Assignment[cag.Node{Array: "a", Dim: 0}] != 0 {
-		t.Errorf("orientation not matched: %v", cands[1].Assignment)
-	}
-}
-
-func TestPermutations(t *testing.T) {
-	if n := len(permutations(3)); n != 6 {
-		t.Errorf("permutations(3) = %d, want 6", n)
-	}
-}
-
-// TestWorkersDeterministic: Workers is accepted and ignored, so every
-// value builds the same Spaces: stats (modulo wall-clock durations),
-// class candidates and per-phase projections.
 func TestWorkersDeterministic(t *testing.T) {
 	u, g, infos := setup(t, tomcatvLike)
 	ref, err := BuildSearchSpaces(context.Background(), u, g, infos, Options{Workers: 1})

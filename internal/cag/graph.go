@@ -203,15 +203,6 @@ func (g *Graph) ScaleWeights(f float64) {
 	}
 }
 
-// TotalWeight sums all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	w := 0.0
-	for _, e := range g.edges {
-		w += e.Weight
-	}
-	return w
-}
-
 // components returns a union-find parent map over nodes following all
 // edges.
 func (g *Graph) components() map[Node]Node {

@@ -9,7 +9,7 @@ import (
 // representation of the inter-dimensional alignment information of a
 // conflict-free CAG.  The set of all conflict-free alignments of a set
 // of arrays forms a semi-lattice under partition refinement (§2.2.1,
-// Figure 2); Refines, Meet and Join implement the lattice operations.
+// Figure 2); Refines is its order.
 //
 // Partitionings are canonicalized on construction (parts and their
 // members sorted) so Equal is a simple comparison.
@@ -33,28 +33,8 @@ func NewPartitioning(parts [][]Node) Partitioning {
 	return Partitioning{parts: cp}
 }
 
-// Discrete returns the bottom element over the given nodes: every node
-// alone (the CAG without edges).
-func Discrete(nodes []Node) Partitioning {
-	parts := make([][]Node, len(nodes))
-	for i, n := range nodes {
-		parts[i] = []Node{n}
-	}
-	return NewPartitioning(parts)
-}
-
 // Parts returns the canonical partition list (do not mutate).
 func (p Partitioning) Parts() [][]Node { return p.parts }
-
-// Nodes returns all nodes, sorted.
-func (p Partitioning) Nodes() []Node {
-	var out []Node
-	for _, part := range p.parts {
-		out = append(out, part...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
 
 // index maps each node to its part number.
 func (p Partitioning) index() map[Node]int {
@@ -105,85 +85,6 @@ func (p Partitioning) Refines(q Partitioning) bool {
 		}
 	}
 	return true
-}
-
-// Meet returns the greatest lower bound p ⊓ q: the common refinement,
-// grouping nodes by their (p-part, q-part) pair.  Both partitionings
-// must cover the same node set for lattice semantics; nodes present in
-// only one operand form singleton parts.
-func Meet(p, q Partitioning) Partitioning {
-	pi, qi := p.index(), q.index()
-	groups := map[[2]int][]Node{}
-	seen := map[Node]bool{}
-	var singles [][]Node
-	add := func(n Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		a, okA := pi[n]
-		b, okB := qi[n]
-		if okA && okB {
-			k := [2]int{a, b}
-			groups[k] = append(groups[k], n)
-			return
-		}
-		singles = append(singles, []Node{n})
-	}
-	for _, n := range p.Nodes() {
-		add(n)
-	}
-	for _, n := range q.Nodes() {
-		add(n)
-	}
-	parts := make([][]Node, 0, len(groups)+len(singles))
-	for _, g := range groups {
-		parts = append(parts, g)
-	}
-	parts = append(parts, singles...)
-	return NewPartitioning(parts)
-}
-
-// Join returns the least upper bound p ⊔ q: the finest partitioning
-// coarser than both, computed by union-find over co-membership in
-// either operand.  The result may put two dimensions of one array in
-// the same part — an alignment conflict the caller must resolve.
-func Join(p, q Partitioning) Partitioning {
-	parent := map[Node]Node{}
-	var find func(Node) Node
-	find = func(x Node) Node {
-		pp, ok := parent[x]
-		if !ok || pp == x {
-			parent[x] = x
-			return x
-		}
-		r := find(pp)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b Node) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, src := range [][][]Node{p.parts, q.parts} {
-		for _, part := range src {
-			find(part[0]) // register singletons
-			for i := 1; i < len(part); i++ {
-				union(part[0], part[i])
-			}
-		}
-	}
-	groups := map[Node][]Node{}
-	for n := range parent {
-		groups[find(n)] = append(groups[find(n)], n)
-	}
-	parts := make([][]Node, 0, len(groups))
-	for _, g := range groups {
-		parts = append(parts, g)
-	}
-	return NewPartitioning(parts)
 }
 
 // HasConflict reports whether some part contains two dimensions of the

@@ -66,15 +66,11 @@ type Resolution struct {
 // edges across partitions.  Conflict-free graphs bypass the ILP.  The
 // formulation is the appendix's: node switches a_ik, edge switches,
 // type-1/type-2 node constraints, IN/OUT edge constraints after
-// direction normalization, maximizing intra-partition weight.
-func Resolve(g *Graph, d int, solver *ilp.Solver) (*Resolution, error) {
-	return ResolveWS(g, d, solver, nil)
-}
-
-// ResolveWS is Resolve with a caller-owned lp.Workspace for the 0-1
-// solve, letting a sequence of resolutions on one goroutine reuse
-// simplex buffers and warm starts.  ws may be nil.
-func ResolveWS(g *Graph, d int, solver *ilp.Solver, ws *lp.Workspace) (*Resolution, error) {
+// direction normalization, maximizing intra-partition weight.  ws is
+// the 0-1 solve's lp.Workspace, letting a sequence of resolutions on
+// one goroutine reuse simplex buffers and warm starts; nil gives the
+// solve a private one.
+func Resolve(g *Graph, d int, solver *ilp.Solver, ws *lp.Workspace) (*Resolution, error) {
 	for _, a := range g.Arrays() {
 		if g.Rank(a) > d {
 			return nil, fmt.Errorf("cag: array %s has rank %d > template dimensionality %d", a, g.Rank(a), d)
@@ -239,7 +235,7 @@ func ResolveWS(g *Graph, d int, solver *ilp.Solver, ws *lp.Workspace) (*Resoluti
 		binaries = append(binaries, nodeVar[n]...)
 	}
 	start := time.Now()
-	res, err := solver.SolveWS(prob, binaries, ws)
+	res, err := solver.Solve(prob, binaries, ws)
 	if err != nil {
 		return nil, err
 	}

@@ -91,11 +91,10 @@ var corruptibleSites = map[string]bool{
 func TestChaosSiteCoverage(t *testing.T) {
 	plan := fault.NewPlan(1)
 	opt := storeChaosOptions(t, plan)
-	opt.ForceILP = true // the default route never enters the 0-1 solver (ilpSites)
-	// Cold run: visits every compute site plus store-open and
-	// store-write — the solved selection is written through (a cold store
-	// has nothing to read, so its Get is an index miss that never touches
-	// the disk).
+	// Cold run: visits every compute site outside the 0-1 solver plus
+	// store-open and store-write — the solved selection is written
+	// through (a cold store has nothing to read, so its Get is an index
+	// miss that never touches the disk).
 	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +102,13 @@ func TestChaosSiteCoverage(t *testing.T) {
 	// cache (so the selection's L2 miss falls through to disk): visits
 	// store-read.
 	opt.Cache = NewSharedCache(0)
+	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, opt); err != nil {
+		t.Fatal(err)
+	}
+	// The default route never enters the 0-1 solver (ilpSites), and a
+	// forced 0-1 route never reuses a stored selection, so the solver
+	// sites get a ForceILP run of their own.
+	opt.ForceILP = true
 	if _, err := Analyze(context.Background(), Input{Source: adiSmall}, opt); err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -173,8 +174,11 @@ type Options struct {
 
 // Validate checks the options without normalizing them: the processor
 // count must be at least 2, counts and budgets must be non-negative,
-// and a user-supplied machine model must be complete.  Analyze calls it
-// first, so manual calls are needed only to fail early.
+// the guessed branch probability must be 0 (the default) or strictly
+// between 0 and 1 (the parser's own !prob rule), the import scale must
+// be finite and non-negative, and a user-supplied machine model must be
+// complete.  Analyze calls it first, so manual calls are needed only to
+// fail early.
 func (o *Options) Validate() error {
 	if o.Procs < 2 {
 		return &ValidationError{Msg: fmt.Sprintf("Procs = %d, need at least 2", o.Procs)}
@@ -187,6 +191,15 @@ func (o *Options) Validate() error {
 	}
 	if o.DefaultTrip < 0 {
 		return &ValidationError{Msg: fmt.Sprintf("DefaultTrip = %d, need >= 0", o.DefaultTrip)}
+	}
+	if o.PCFG.DefaultTrip < 0 {
+		return &ValidationError{Msg: fmt.Sprintf("PCFG.DefaultTrip = %d, need >= 0", o.PCFG.DefaultTrip)}
+	}
+	if p := o.PCFG.DefaultProb; p != 0 && !(p > 0 && p < 1) {
+		return &ValidationError{Msg: fmt.Sprintf("PCFG.DefaultProb = %g, need 0 (default) or 0 < p < 1", p)}
+	}
+	if s := o.Align.ImportScale; !(s >= 0) || math.IsInf(s, 1) {
+		return &ValidationError{Msg: fmt.Sprintf("Align.ImportScale = %g, need finite and >= 0", s)}
 	}
 	if o.Machine != nil {
 		if err := o.Machine.Validate(); err != nil {

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/fault"
 	"repro/internal/fortran"
 	"repro/internal/layout"
+	"repro/internal/pcfg"
 	"repro/internal/programs"
 	"repro/internal/stage"
 )
@@ -178,6 +181,12 @@ func TestOptionsValidate(t *testing.T) {
 		{Procs: 4, Workers: -1},
 		{Procs: 4, Timeout: -time.Second},
 		{Procs: 4, DefaultTrip: -5},
+		{Procs: 4, PCFG: pcfg.Options{DefaultTrip: -1}},
+		{Procs: 4, PCFG: pcfg.Options{DefaultProb: -0.5}},
+		{Procs: 4, PCFG: pcfg.Options{DefaultProb: 1}},
+		{Procs: 4, Align: align.Options{ImportScale: -1}},
+		{Procs: 4, Align: align.Options{ImportScale: math.NaN()}},
+		{Procs: 4, Align: align.Options{ImportScale: math.Inf(1)}},
 	}
 	for i, opt := range bad {
 		err := opt.Validate()
@@ -189,9 +198,14 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: Analyze accepted invalid options (err = %v)", i, aerr)
 		}
 	}
-	good := Options{Procs: 4}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid options rejected: %v", err)
+	for _, good := range []Options{
+		{Procs: 4},
+		{Procs: 4, PCFG: pcfg.Options{DefaultProb: 1e-9}, Align: align.Options{ImportScale: 500}},
+		{Procs: 4, PCFG: pcfg.Options{DefaultProb: 0.999}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid options %+v rejected: %v", good, err)
+		}
 	}
 }
 

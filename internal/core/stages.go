@@ -341,12 +341,13 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontSta
 			res.store = newStoreLayer(opt)
 		}
 		// Selection reuse needs a fully content-determined solve: a
-		// wall-clock budget can change the outcome (degradation), and a
-		// fault plan aimed at the solve must reach its injection sites.
-		// Plans aimed elsewhere (the store and cache sites among them)
-		// keep the reuse path, so chaos runs still travel through L2 and
-		// L3.
-		if opt.Timeout == 0 && !opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
+		// wall-clock budget can change the outcome (degradation), a
+		// fault plan aimed at the solve must reach its injection sites,
+		// and ForceILP asks for the 0-1 route, which a stored selection
+		// from another route would silently answer.  Plans aimed
+		// elsewhere (the store and cache sites among them) keep the
+		// reuse path, so chaos runs still travel through L2 and L3.
+		if opt.Timeout == 0 && !opt.ForceILP && !opt.Fault.Arms(stage.Selection, stage.ILPRoot, stage.BBNode) {
 			res.selCtx = string(artifact.NewHasher("selection-ctx").
 				Str(string(aa.key)).
 				Str(res.keys.price.s).
@@ -576,7 +577,7 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 		case r.opt.UseDP:
 			sel, err = lg.SolveElim(solver)
 		case r.opt.ForceILP:
-			sel, err = lg.SolveILP(solver)
+			sel, err = lg.SolveILP(solver, nil)
 		default:
 			sel, err = lg.SolveAutoWS(solver, nil)
 		}

@@ -269,6 +269,41 @@ func TestStoreReuseYieldsToSolverFaults(t *testing.T) {
 	}
 }
 
+// TestForceILPSkipsSelectionReuse: a ForceILP run must reach the 0-1
+// solve even when a default run already left its (elimination DP)
+// selection in the shared cache or the store.
+func TestForceILPSkipsSelectionReuse(t *testing.T) {
+	for _, arm := range []string{"shared-cache", "store"} {
+		t.Run(arm, func(t *testing.T) {
+			opt := Options{Procs: 8, Verify: VerifyOn}
+			if arm == "store" {
+				opt.StoreDir = t.TempDir()
+			} else {
+				opt.Cache = NewSharedCache(0)
+			}
+			def, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if def.Solver.Route != "tree-dp" {
+				t.Fatalf("default run routed %q, want tree-dp", def.Solver.Route)
+			}
+			opt.ForceILP = true
+			res, err := Analyze(context.Background(), Input{Source: adiSmall}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Solver.Route == "tree-dp" || res.Selection.Vars == 0 {
+				t.Errorf("ForceILP run routed %q with %d vars (shared selection hits %d, store hits %d); want the 0-1 ILP",
+					res.Solver.Route, res.Selection.Vars, res.Cache.SharedSelection.Hits, res.Cache.Store.Hits)
+			}
+			if diff := res.TotalCost - def.TotalCost; diff > 1e-6 || diff < -1e-6 {
+				t.Errorf("ForceILP cost %v, default %v", res.TotalCost, def.TotalCost)
+			}
+		})
+	}
+}
+
 // TestStoreSemanticCorruptionRecomputed: a record whose store checksum
 // passes but whose value codec fails (here: a version-skewed payload)
 // is quarantined and recomputed — a decode failure is never an analysis

@@ -171,6 +171,32 @@ func TestBuildOptionsParity(t *testing.T) {
 	}
 }
 
+// TestWireRangeChecks: an out-of-range default_prob or import_scale is
+// a *ValidationError (a typed 400 from a server), while the schema
+// pin's 0.25 and 500 stay valid.
+func TestWireRangeChecks(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		valid bool
+	}{
+		{`"default_prob":-0.5`, false},
+		{`"default_prob":1`, false},
+		{`"default_prob":2`, false},
+		{`"import_scale":-1`, false},
+		{`"default_prob":0.25,"import_scale":500`, true},
+	} {
+		req, err := DecodeRequest(strings.NewReader(`{"v":1,"source":"program p\nend\n","procs":4,` + tc.field + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.field, err)
+		}
+		_, err = req.BuildOptions()
+		var verr *ValidationError
+		if tc.valid && err != nil || !tc.valid && !errors.As(err, &verr) {
+			t.Errorf("%s: BuildOptions err = %v, want valid=%v", tc.field, err, tc.valid)
+		}
+	}
+}
+
 // tripTestSrc wraps two phases in a time-step loop whose bound m is
 // unknown at compile time, so its trip count is the default_trip.
 const tripTestSrc = `

@@ -429,7 +429,7 @@ func Measure(res *core.Result, choice []int) (float64, error) {
 		if len(moved) == 0 {
 			continue
 		}
-		prog := spmd.LowerRemap(from, to, res.Unit.Arrays, moved, res.Machine)
+		prog := spmd.LowerRemap(from, to, res.Unit.Arrays, moved)
 		r, err := sim.Run(prog, res.Machine)
 		if err != nil {
 			return 0, fmt.Errorf("remap %d->%d: %w", e.From, e.To, err)

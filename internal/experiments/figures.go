@@ -216,7 +216,7 @@ func Figure8() (string, error) {
 	g.AddArray("y", 2)
 	g.AddPreference(cag.Node{Array: "x", Dim: 0}, cag.Node{Array: "y", Dim: 0}, 5)
 	g.AddPreference(cag.Node{Array: "x", Dim: 1}, cag.Node{Array: "y", Dim: 0}, 3)
-	res, err := cag.Resolve(g, 2, nil)
+	res, err := cag.Resolve(g, 2, nil, nil)
 	if err != nil {
 		return "", err
 	}

@@ -82,13 +82,12 @@ type Stmt interface {
 
 // Do is a DO loop with unit or constant stride.
 type Do struct {
-	Var        string
-	Lo, Hi     Expr
-	Step       Expr // nil means 1
-	Body       []Stmt
-	Line       int
-	TripHint   int // from a !trip annotation; 0 if absent
-	LoopedOnce bool
+	Var      string
+	Lo, Hi   Expr
+	Step     Expr // nil means 1
+	Body     []Stmt
+	Line     int
+	TripHint int // from a !trip annotation; 0 if absent
 }
 
 // If is a two-armed IF with an optional probability annotation.

@@ -45,8 +45,8 @@ func fuzzProblem(data []byte) (*lp.Problem, []int) {
 
 // FuzzSolve cross-checks branch and bound against the exhaustive oracle
 // on arbitrary small 0-1 problems, and asserts the budget knobs are
-// respected: MaxNodes=1 visits at most one node, MaxTime returns
-// without error, and no input makes the solver panic.
+// respected: maxNodes=1 visits at most one node, a 1 ns Deadline
+// returns without error, and no input makes the solver panic.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 250, 5, 2, 1, 1, 3, 0, 4})
@@ -55,7 +55,7 @@ func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, binaries := fuzzProblem(data)
 		s := &Solver{}
-		got, err := s.Solve(p, binaries)
+		got, err := s.Solve(p, binaries, nil)
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
@@ -79,13 +79,13 @@ func FuzzSolve(f *testing.F) {
 		}
 
 		// Warm vs cold: the warm-started default above must agree with
-		// ColdStart mode (fresh two-phase solve per node, no reduced-cost
+		// coldStart mode (fresh two-phase solve per node, no reduced-cost
 		// fixing) on status, objective and feasibility.  Any divergence
 		// found here is a warm-start soundness bug; keep the input in the
 		// seed corpus.
-		coldRun, err := (&Solver{ColdStart: true}).Solve(p, binaries)
+		coldRun, err := (&Solver{coldStart: true}).Solve(p, binaries, nil)
 		if err != nil {
-			t.Fatalf("Solve(ColdStart): %v", err)
+			t.Fatalf("Solve(coldStart): %v", err)
 		}
 		if got.Status != coldRun.Status {
 			t.Fatalf("warm status %v, cold-start %v", got.Status, coldRun.Status)
@@ -106,9 +106,9 @@ func FuzzSolve(f *testing.F) {
 		// Presolve off is the pure branch-and-bound reference: the
 		// fixings are implied constraints, so disabling them cannot move
 		// the answer.
-		noPre, err := (&Solver{NoPresolve: true}).Solve(p, binaries)
+		noPre, err := (&Solver{noPresolve: true}).Solve(p, binaries, nil)
 		if err != nil {
-			t.Fatalf("Solve(NoPresolve): %v", err)
+			t.Fatalf("Solve(noPresolve): %v", err)
 		}
 		if got.Status != noPre.Status {
 			t.Fatalf("presolved status %v, no-presolve %v", got.Status, noPre.Status)
@@ -117,17 +117,17 @@ func FuzzSolve(f *testing.F) {
 			t.Fatalf("presolved objective %v, no-presolve %v", got.Objective, noPre.Objective)
 		}
 		if noPre.Presolved != 0 {
-			t.Fatalf("NoPresolve fixed %d binaries", noPre.Presolved)
+			t.Fatalf("noPresolve fixed %d binaries", noPre.Presolved)
 		}
 
 		// Budget knobs: a 1-node cap visits at most one node and still
 		// reports a coherent status; any incumbent remains feasible.
-		limited, err := (&Solver{MaxNodes: 1}).Solve(p, binaries)
+		limited, err := (&Solver{maxNodes: 1}).Solve(p, binaries, nil)
 		if err != nil {
-			t.Fatalf("Solve(MaxNodes=1): %v", err)
+			t.Fatalf("Solve(maxNodes=1): %v", err)
 		}
 		if limited.Nodes > 1 {
-			t.Fatalf("MaxNodes=1 explored %d nodes", limited.Nodes)
+			t.Fatalf("maxNodes=1 explored %d nodes", limited.Nodes)
 		}
 		if limited.X != nil && !satisfies(p, limited.X) {
 			t.Fatalf("limited incumbent violates constraints: %v", limited.X)
@@ -139,9 +139,9 @@ func FuzzSolve(f *testing.F) {
 		}
 
 		// A nanosecond budget must stop quickly without error.
-		timed, err := (&Solver{MaxTime: time.Nanosecond}).Solve(p, binaries)
+		timed, err := (&Solver{Deadline: time.Now().Add(time.Nanosecond)}).Solve(p, binaries, nil)
 		if err != nil {
-			t.Fatalf("Solve(MaxTime=1ns): %v", err)
+			t.Fatalf("Solve(1ns deadline): %v", err)
 		}
 		if timed.X != nil && !satisfies(p, timed.X) {
 			t.Fatalf("timed incumbent violates constraints: %v", timed.X)

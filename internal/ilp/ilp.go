@@ -29,11 +29,11 @@ const (
 	Optimal Status = iota
 	// Infeasible means no 0-1 assignment satisfies the constraints.
 	Infeasible
-	// NodeLimit means the search was cut off by MaxNodes; Result
+	// NodeLimit means the search was cut off by the node cap; Result
 	// carries the best incumbent found, which may be suboptimal.
 	NodeLimit
-	// TimeLimit means the wall-clock budget (MaxTime, Deadline or the
-	// Context's deadline) expired; Result carries the best incumbent
+	// TimeLimit means the wall-clock budget (Deadline or the Context's
+	// deadline) expired; Result carries the best incumbent
 	// found, if any.
 	TimeLimit
 	// Canceled means the solver's Context was canceled mid-search;
@@ -98,27 +98,14 @@ func (r *Result) Gap() float64 {
 
 // Solver configures branch and bound.  The zero value is usable.
 type Solver struct {
-	// MaxNodes caps the number of explored nodes (0 means 4_000_000).
-	MaxNodes int
-	// MaxTime caps the wall-clock time of one Solve call (0 means no
-	// per-solve cap).  When the budget expires the solve stops with
-	// Status TimeLimit and the best incumbent found so far.
-	MaxTime time.Duration
 	// Deadline is an absolute wall-clock cutoff shared by successive
-	// Solve calls on the same Solver (zero means none).  The earliest
-	// of MaxTime, Deadline and the Context's deadline applies.
+	// Solve calls on the same Solver (zero means none).  The earlier of
+	// Deadline and the Context's deadline applies; when it expires the
+	// solve stops with Status TimeLimit and the best incumbent so far.
 	Deadline time.Time
 	// Context, when non-nil, cancels the solve: cancellation stops the
 	// search with Status Canceled and the best incumbent so far.
 	Context context.Context
-	// IntTol is the integrality tolerance (0 means 1e-6).
-	IntTol float64
-	// NoPerturb disables the anti-degeneracy objective perturbation.
-	// By default each binary's objective receives a tiny deterministic
-	// increment (1e-6 per variable index) so alternative optima are
-	// strictly ordered and the bound actually prunes; the reported
-	// objective is recomputed with the original coefficients.
-	NoPerturb bool
 	// Certify, when non-nil, independently re-checks every Result
 	// before Solve returns it: the hook receives the original problem
 	// (bounds and objective restored), the binary variable list and the
@@ -136,28 +123,29 @@ type Solver struct {
 	// at every branch-and-bound node (its Corrupt action flips one
 	// binary of the incumbent).
 	Fault *fault.Plan
-	// ColdStart disables the warm-started workspace path: every node LP
-	// runs the two-phase simplex from scratch, and reduced-cost fixing
-	// (which needs the workspace's root duals) is off.  It is the
-	// independent reference for warm-vs-cold cross-checks in tests and
-	// benchmarks.
-	ColdStart bool
-	// NoPresolve disables the constraint-propagation presolve that runs
-	// before branch and bound and fixes binaries forced by the rows
-	// (exactly-one cliques, implied bounds).  The presolve never changes
-	// the optimum, so this is only the reference arm for cross-checks.
-	NoPresolve bool
+
+	// Test seams, the reference arms of the package's own property
+	// tests.  maxNodes overrides the node cap (0 means defaultMaxNodes).
+	// coldStart runs every node LP two-phase from scratch, with
+	// reduced-cost fixing (which needs the workspace's root duals) off.
+	// noPresolve skips the constraint-propagation presolve, which never
+	// changes the optimum.
+	maxNodes   int
+	coldStart  bool
+	noPresolve bool
 }
 
-// deadline resolves the effective absolute cutoff for a solve starting
-// at start; the zero time means unlimited.
-func (s *Solver) deadline(start time.Time) time.Time {
+const (
+	// defaultMaxNodes caps the branch-and-bound nodes of one Solve.
+	defaultMaxNodes = 4_000_000
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+)
+
+// deadline resolves the effective absolute cutoff; the zero time means
+// unlimited.
+func (s *Solver) deadline() time.Time {
 	d := s.Deadline
-	if s.MaxTime > 0 {
-		if t := start.Add(s.MaxTime); d.IsZero() || t.Before(d) {
-			d = t
-		}
-	}
 	if s.Context != nil {
 		if t, ok := s.Context.Deadline(); ok && (d.IsZero() || t.Before(d)) {
 			d = t
@@ -174,22 +162,17 @@ var ErrUnbounded = errors.New("ilp: LP relaxation unbounded")
 // Bounds of the binary variables must be within [0,1]; other variables
 // remain continuous.  The problem's bounds are restored before return.
 //
+// Node LPs run in ws: they reuse its buffers and warm-start from the
+// parent basis, and the basis survives across Solve calls so repeated
+// solves of same-shaped problems skip the cold start too.  A nil ws
+// makes the solver use a private workspace for the duration of the
+// call.  The workspace must not be shared between concurrent solves.
+//
 // With Fault armed, the stage.ILPRoot and stage.BBNode sites fire (see
 // the field docs); with Certify set, the result is independently
 // re-checked — after any injected corruption, so an injected wrong
 // answer cannot escape a certifying solver.
-func (s *Solver) Solve(p *lp.Problem, binaries []int) (*Result, error) {
-	return s.SolveWS(p, binaries, nil)
-}
-
-// SolveWS is Solve with a caller-owned lp.Workspace: node LPs reuse
-// the workspace's buffers and warm-start from the parent basis, and
-// the basis survives across SolveWS calls so repeated solves of
-// same-shaped problems skip the cold start too.  A nil ws makes the
-// solver use a private workspace for the duration of the call (unless
-// ColdStart is set).  The workspace must not be shared between
-// concurrent solves.
-func (s *Solver) SolveWS(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result, error) {
+func (s *Solver) Solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result, error) {
 	if err := s.Fault.Err(stage.ILPRoot); err != nil {
 		return nil, err
 	}
@@ -217,13 +200,9 @@ func (s *Solver) SolveWS(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Resu
 // the original problem.
 func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result, error) {
 	start := time.Now()
-	maxNodes := s.MaxNodes
+	maxNodes := s.maxNodes
 	if maxNodes == 0 {
-		maxNodes = 4_000_000
-	}
-	tol := s.IntTol
-	if tol == 0 {
-		tol = 1e-6
+		maxNodes = defaultMaxNodes
 	}
 	// Save original bounds so the caller's problem is left untouched.
 	savedLo := make([]float64, len(binaries))
@@ -245,7 +224,7 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 	// infeasibility skips branch and bound entirely (the deferred
 	// restore still undoes any fixings already applied).
 	presolved := 0
-	if !s.NoPresolve {
+	if !s.noPresolve {
 		var infeasible bool
 		presolved, infeasible = presolve01(p, binaries)
 		if infeasible {
@@ -269,20 +248,17 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 			bbLo[i], bbHi[i] = p.Bounds(v)
 		}
 	}
-	var savedObj []float64
-	if !s.NoPerturb {
-		savedObj = make([]float64, len(binaries))
-		for i, v := range binaries {
-			savedObj[i] = p.Objective(v)
-			p.SetObjective(v, savedObj[i]+perturbEps*float64(i+1))
-		}
-		defer func() {
-			for i, v := range binaries {
-				p.SetObjective(v, savedObj[i])
-			}
-		}()
+	savedObj := make([]float64, len(binaries))
+	for i, v := range binaries {
+		savedObj[i] = p.Objective(v)
+		p.SetObjective(v, savedObj[i]+PerturbEps*float64(i+1))
 	}
-	if s.ColdStart {
+	defer func() {
+		for i, v := range binaries {
+			p.SetObjective(v, savedObj[i])
+		}
+	}()
+	if s.coldStart {
 		ws = nil
 	} else if ws == nil {
 		ws = lp.NewWorkspace()
@@ -291,9 +267,8 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 	bb := &bbState{
 		p:         p,
 		binaries:  binaries,
-		tol:       tol,
 		maxNodes:  maxNodes,
-		deadline:  s.deadline(start),
+		deadline:  s.deadline(),
 		ctx:       s.Context,
 		best:      math.Inf(1),
 		rootBound: math.Inf(-1),
@@ -305,13 +280,11 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 		pendV:     -1,
 	}
 	bb.initBuffers()
-	if !s.NoPerturb {
-		// The root LP bound is computed against the perturbed
-		// objective; discount the largest possible total perturbation so
-		// the bound stays valid for the original coefficients.
-		k := float64(len(binaries))
-		bb.boundSlack = perturbEps * k * (k + 1) / 2
-	}
+	// The root LP bound is computed against the perturbed objective;
+	// discount the largest possible total perturbation so the bound
+	// stays valid for the original coefficients.
+	k := float64(len(binaries))
+	bb.boundSlack = PerturbEps * k * (k + 1) / 2
 	warm0, cold0 := 0, 0
 	if ws != nil {
 		warm0, cold0 = ws.Warm, ws.Cold
@@ -333,7 +306,7 @@ func (s *Solver) solve(p *lp.Problem, binaries []int, ws *lp.Workspace) (*Result
 	} else {
 		res.LPCold = bb.nodes
 	}
-	if bb.bestX != nil && savedObj != nil {
+	if bb.bestX != nil {
 		// Recompute the incumbent's objective with the unperturbed
 		// coefficients.
 		bb.best = 0
@@ -383,7 +356,6 @@ type nodeFrame struct {
 type bbState struct {
 	p          *lp.Problem
 	binaries   []int
-	tol        float64
 	maxNodes   int
 	deadline   time.Time // zero means none
 	ctx        context.Context
@@ -398,7 +370,7 @@ type bbState struct {
 	certifyLP  func(*lp.Problem, *lp.Solution) error
 	fault      *fault.Plan
 
-	ws               *lp.Workspace // warm-start workspace (nil in ColdStart mode)
+	ws               *lp.Workspace // warm-start workspace (nil under coldStart)
 	savedLo, savedHi []float64     // original binary bounds, per position
 	stack            []nodeFrame   // explicit DFS stack
 	binPos           []int32       // variable index -> position in binaries (-1 otherwise)
@@ -441,7 +413,7 @@ func (bb *bbState) initBuffers() {
 		// constraint, and a deterministic, scale-aware guess otherwise.
 		c := math.Abs(bb.p.Objective(v))
 		if c == 0 {
-			c = perturbEps
+			c = PerturbEps
 		}
 		bb.pcUp[i], bb.pcDown[i] = c, c
 	}
@@ -572,7 +544,7 @@ func (bb *bbState) pickBranch(sol *lp.Solution) int {
 	for i, v := range bb.binaries {
 		x := sol.X[v]
 		f := math.Abs(x - math.Round(x))
-		if f <= bb.tol {
+		if f <= intTol {
 			continue
 		}
 		const floor = 1e-12
@@ -625,8 +597,8 @@ func (bb *bbState) foundIncumbent(sol *lp.Solution) {
 }
 
 // captureRootDuals snapshots the root LP reduced costs of the binaries
-// for reduced-cost fixing.  Only the workspace path exposes duals; in
-// ColdStart mode fixing stays off.
+// for reduced-cost fixing.  Only the workspace path exposes duals;
+// under coldStart fixing stays off.
 func (bb *bbState) captureRootDuals() {
 	if bb.ws == nil {
 		return
@@ -717,34 +689,12 @@ func (bb *bbState) backtrack() bool {
 	return false
 }
 
-// PerturbEps is the per-variable anti-degeneracy increment: unless
-// NoPerturb is set, binary i's objective coefficient is raised by
-// PerturbEps*(i+1) (in binaries-slice order) so alternative optima are
-// strictly ordered.  Exported so exact special-case solvers (the tree
-// DP in package layoutgraph) can minimize the identical perturbed
-// objective and land on the same unique argmin as branch and bound.
+// PerturbEps is the per-variable anti-degeneracy increment: binary
+// i's objective coefficient is raised by PerturbEps*(i+1) (in
+// binaries-slice order) so alternative optima are strictly ordered and
+// the bound actually prunes; the reported objective is recomputed with
+// the original coefficients.  Exported so exact special-case solvers
+// (the tree DP in package layoutgraph) can minimize the identical
+// perturbed objective and land on the same unique argmin as branch and
+// bound.
 const PerturbEps = 1e-6
-
-// perturbEps is the internal alias predating the export.
-const perturbEps = PerturbEps
-
-// Maximize solves the maximization version of p over the binaries by
-// negating the objective in place (restored before return).  The
-// returned Result reports the maximized objective value directly.
-func (s *Solver) Maximize(p *lp.Problem, binaries []int) (*Result, error) {
-	n := p.NumVariables()
-	negate := func() {
-		for v := 0; v < n; v++ {
-			p.SetObjective(v, -p.Objective(v))
-		}
-	}
-	negate()
-	defer negate()
-	res, err := s.Solve(p, binaries)
-	if err != nil {
-		return nil, err
-	}
-	res.Objective = -res.Objective
-	res.Bound = -res.Bound
-	return res, nil
-}

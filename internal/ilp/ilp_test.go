@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,19 +13,20 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestKnapsack(t *testing.T) {
-	// max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6  ->  a=1,c=1 (17) vs b,c (20).
+	// max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6  ->  a=1,c=1 (17) vs b,c (20),
+	// solved as min -(10a + 13b + 7c).
 	p := lp.NewProblem()
-	a := p.AddBinary(10)
-	b := p.AddBinary(13)
-	c := p.AddBinary(7)
+	a := p.AddBinary(-10)
+	b := p.AddBinary(-13)
+	c := p.AddBinary(-7)
 	p.AddConstraint([]lp.Term{{Var: a, Coeff: 3}, {Var: b, Coeff: 4}, {Var: c, Coeff: 2}}, lp.LE, 6)
 	var s Solver
-	res, err := s.Maximize(p, []int{a, b, c})
+	res, err := s.Solve(p, []int{a, b, c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Optimal || !approx(res.Objective, 20, 1e-6) {
-		t.Fatalf("got %v obj=%v, want optimal obj=20", res.Status, res.Objective)
+	if res.Status != Optimal || !approx(res.Objective, -20, 1e-6) {
+		t.Fatalf("got %v obj=%v, want optimal obj=-20", res.Status, res.Objective)
 	}
 	if res.X[b] != 1 || res.X[c] != 1 || res.X[a] != 0 {
 		t.Errorf("assignment = %v, want b=c=1", res.X)
@@ -40,7 +42,7 @@ func TestInfeasibleILP(t *testing.T) {
 	// The second equality makes 0-1 feasibility impossible together with
 	// the first.
 	var s Solver
-	res, err := s.Solve(p, []int{a, b})
+	res, err := s.Solve(p, []int{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestFractionalLPForcesBranching(t *testing.T) {
 	y := p.AddBinary(-1)
 	p.AddConstraint([]lp.Term{{Var: x, Coeff: 2}, {Var: y, Coeff: 2}}, lp.LE, 3)
 	var s Solver
-	res, err := s.Solve(p, []int{x, y})
+	res, err := s.Solve(p, []int{x, y}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestBoundsRestoredAfterSolve(t *testing.T) {
 	y := p.AddBinary(-1)
 	p.AddConstraint([]lp.Term{{Var: x, Coeff: 2}, {Var: y, Coeff: 2}}, lp.LE, 3)
 	var s Solver
-	if _, err := s.Solve(p, []int{x, y}); err != nil {
+	if _, err := s.Solve(p, []int{x, y}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []int{x, y} {
@@ -94,7 +96,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	c := p.AddVariable(1, 0, lp.Inf)
 	p.AddConstraint([]lp.Term{{Var: c, Coeff: 1}, {Var: b, Coeff: 4}}, lp.GE, 3)
 	var s Solver
-	res, err := s.Solve(p, []int{b})
+	res, err := s.Solve(p, []int{b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestPresetBinaryBoundsRespected(t *testing.T) {
 	p.SetBounds(a, 1, 1)
 	p.AddConstraint([]lp.Term{{Var: a, Coeff: 1}, {Var: b, Coeff: 1}}, lp.LE, 2)
 	var s Solver
-	res, err := s.Solve(p, []int{a, b})
+	res, err := s.Solve(p, []int{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +125,8 @@ func TestPresetBinaryBoundsRespected(t *testing.T) {
 func TestNodeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, bins := randomPartitionProblem(rng, 14)
-	s := Solver{MaxNodes: 2}
-	res, err := s.Solve(p, bins)
+	s := Solver{maxNodes: 2}
+	res, err := s.Solve(p, bins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestQuickAgainstExhaustive(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		p, bins := randomPartitionProblem(rng, n)
 		var s Solver
-		bb, err := s.Solve(p, bins)
+		bb, err := s.Solve(p, bins, nil)
 		if err != nil {
 			t.Logf("seed %d: bb error %v", seed, err)
 			return false
@@ -193,7 +195,8 @@ func TestQuickAgainstExhaustive(t *testing.T) {
 }
 
 // TestQuickKnapsackAgainstDP cross-checks against a dynamic-programming
-// knapsack oracle with integer weights.
+// knapsack oracle with integer weights; the solver minimizes the
+// negated values.
 func TestQuickKnapsackAgainstDP(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -207,12 +210,12 @@ func TestQuickKnapsackAgainstDP(t *testing.T) {
 		for i := 0; i < n; i++ {
 			w[i] = 1 + rng.Intn(10)
 			v[i] = float64(rng.Intn(50))
-			bins[i] = p.AddBinary(v[i])
+			bins[i] = p.AddBinary(-v[i])
 			terms[i] = lp.Term{Var: bins[i], Coeff: float64(w[i])}
 		}
 		p.AddConstraint(terms, lp.LE, float64(cap))
 		var s Solver
-		res, err := s.Maximize(p, bins)
+		res, err := s.Solve(p, bins, nil)
 		if err != nil || res.Status != Optimal {
 			return false
 		}
@@ -225,7 +228,7 @@ func TestQuickKnapsackAgainstDP(t *testing.T) {
 				}
 			}
 		}
-		return approx(res.Objective, dp[cap], 1e-6)
+		return approx(-res.Objective, dp[cap], 1e-6)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -240,6 +243,27 @@ func TestExhaustiveLimitEnforced(t *testing.T) {
 	}
 	if _, err := SolveExhaustive(p, bins); err == nil {
 		t.Fatal("expected error above exhaustive limit")
+	}
+}
+
+// TestFixedSettings pins what used to be settings: the integrality
+// tolerance, the node cap, and the exported Solver surface.
+func TestFixedSettings(t *testing.T) {
+	if intTol != 1e-6 {
+		t.Errorf("intTol = %g, want 1e-6", intTol)
+	}
+	if defaultMaxNodes != 4_000_000 {
+		t.Errorf("defaultMaxNodes = %d, want 4000000", defaultMaxNodes)
+	}
+	var exported []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Solver{})) {
+		if f.IsExported() {
+			exported = append(exported, f.Name)
+		}
+	}
+	want := []string{"Deadline", "Context", "Certify", "CertifyLP", "Fault"}
+	if !reflect.DeepEqual(exported, want) {
+		t.Errorf("exported Solver fields = %v, want %v", exported, want)
 	}
 }
 
@@ -259,11 +283,11 @@ func BenchmarkBranchAndBoundPartition24(b *testing.B) {
 	b.ResetTimer()
 	pivots := 0
 	for i := 0; i < b.N; i++ {
-		r1, err := s.Solve(p, bins)
+		r1, err := s.Solve(p, bins, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := s.Solve(hp, hbins)
+		r2, err := s.Solve(hp, hbins, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,8 +302,8 @@ func TestNodeLimitIncumbentFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		p, bins := randomPartitionProblem(rng, 12)
-		s := Solver{MaxNodes: 3}
-		res, err := s.Solve(p, bins)
+		s := Solver{maxNodes: 3}
+		res, err := s.Solve(p, bins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestPresolveCliqueFix(t *testing.T) {
 	}
 	p.AddConstraint([]lp.Term{{Var: x[0], Coeff: 1}, {Var: x[1], Coeff: 1}, {Var: x[2], Coeff: 1}}, lp.EQ, 1)
 	p.SetBounds(x[1], 1, 1)
-	res, err := (&Solver{}).Solve(p, x)
+	res, err := (&Solver{}).Solve(p, x, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestPresolveLastFreeMember(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: a, Coeff: 1}, {Var: b, Coeff: 1}, {Var: c, Coeff: 1}}, lp.EQ, 1)
 	p.SetBounds(a, 0, 0)
 	p.SetBounds(c, 0, 0)
-	res, err := (&Solver{}).Solve(p, []int{a, b, c})
+	res, err := (&Solver{}).Solve(p, []int{a, b, c}, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestPresolveImpliedBound(t *testing.T) {
 	y := p.AddBinary(10)  // objective pulls toward 0; the row forbids it
 	p.AddConstraint([]lp.Term{{Var: x, Coeff: 2}}, lp.LE, 1)
 	p.AddConstraint([]lp.Term{{Var: y, Coeff: 3}}, lp.GE, 2)
-	res, err := (&Solver{}).Solve(p, []int{x, y})
+	res, err := (&Solver{}).Solve(p, []int{x, y}, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestPresolveChain(t *testing.T) {
 		p.AddConstraint([]lp.Term{{Var: x[i], Coeff: 1}, {Var: x[i+1], Coeff: -1}}, lp.GE, 0)
 	}
 	p.SetBounds(x[0], 0, 0)
-	res, err := (&Solver{}).Solve(p, x)
+	res, err := (&Solver{}).Solve(p, x, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestPresolveInfeasible(t *testing.T) {
 			p := lp.NewProblem()
 			x := []int{p.AddBinary(1), p.AddBinary(1)}
 			tc.build(p, x)
-			res, err := (&Solver{}).Solve(p, x)
+			res, err := (&Solver{}).Solve(p, x, nil)
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -187,7 +187,7 @@ func TestQuickPresolveAgainstExhaustive(t *testing.T) {
 				p.SetBounds(v, val, val)
 			}
 		}
-		got, err := (&Solver{}).Solve(p, bins)
+		got, err := (&Solver{}).Solve(p, bins, nil)
 		if err != nil {
 			t.Fatalf("seed %d: Solve: %v", seed, err)
 		}

@@ -45,7 +45,7 @@ func hardCoverProblem(rng *rand.Rand, n int) (*lp.Problem, []int) {
 func TestWarmStartEffort(t *testing.T) {
 	p, bins := hardCoverProblem(rand.New(rand.NewSource(3)), 25)
 	var s Solver
-	res, err := s.Solve(p, bins)
+	res, err := s.Solve(p, bins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,9 @@ func TestWarmStartEffort(t *testing.T) {
 		t.Errorf("warm path is the minority: warm=%d cold=%d", res.LPWarm, res.LPCold)
 	}
 
-	// The same instance in ColdStart mode must agree exactly (the
+	// The same instance under coldStart must agree exactly (the
 	// perturbed optimum is unique) while doing all-cold work.
-	cold, err := (&Solver{ColdStart: true}).Solve(p, bins)
+	cold, err := (&Solver{coldStart: true}).Solve(p, bins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWarmStartEffort(t *testing.T) {
 		t.Fatalf("cold-start objective %v, warm %v", cold.Objective, res.Objective)
 	}
 	if cold.LPWarm != 0 || cold.LPCold != cold.Nodes {
-		t.Errorf("ColdStart accounting: warm=%d cold=%d nodes=%d", cold.LPWarm, cold.LPCold, cold.Nodes)
+		t.Errorf("coldStart accounting: warm=%d cold=%d nodes=%d", cold.LPWarm, cold.LPCold, cold.Nodes)
 	}
 	for _, v := range bins {
 		if res.X[v] != cold.X[v] {
@@ -85,7 +85,7 @@ func TestWarmStartEffort(t *testing.T) {
 }
 
 // TestQuickWarmAgreesWithColdStart cross-checks the warm-started solver
-// against ColdStart mode (the seed algorithm: fresh two-phase solve per
+// against coldStart mode (the seed algorithm: fresh two-phase solve per
 // node, no reduced-cost fixing) on random branching instances.
 func TestQuickWarmAgreesWithColdStart(t *testing.T) {
 	check := func(seed int64) bool {
@@ -97,12 +97,12 @@ func TestQuickWarmAgreesWithColdStart(t *testing.T) {
 		} else {
 			p, bins = randomPartitionProblem(rng, 3+rng.Intn(12))
 		}
-		warm, err := (&Solver{}).Solve(p, bins)
+		warm, err := (&Solver{}).Solve(p, bins, nil)
 		if err != nil {
 			t.Logf("seed %d: warm: %v", seed, err)
 			return false
 		}
-		cold, err := (&Solver{ColdStart: true}).Solve(p, bins)
+		cold, err := (&Solver{coldStart: true}).Solve(p, bins, nil)
 		if err != nil {
 			t.Logf("seed %d: cold-start: %v", seed, err)
 			return false
@@ -141,7 +141,7 @@ func TestReducedCostFixing(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p, bins := hardCoverProblem(rng, 9+2*rng.Intn(3))
 		var s Solver
-		res, err := s.Solve(p, bins)
+		res, err := s.Solve(p, bins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestReducedCostFixing(t *testing.T) {
 }
 
 // BenchmarkWarmVsColdNodes compares the warm-started solver against
-// ColdStart mode on one branching instance, reporting pivots and nodes
+// coldStart mode on one branching instance, reporting pivots and nodes
 // so the ratio is visible in benchmark output.
 func BenchmarkWarmVsColdNodes(b *testing.B) {
 	p, bins := hardCoverProblem(rand.New(rand.NewSource(3)), 25)
@@ -175,13 +175,13 @@ func BenchmarkWarmVsColdNodes(b *testing.B) {
 		s    Solver
 	}{
 		{"warm", Solver{}},
-		{"cold", Solver{ColdStart: true}},
+		{"cold", Solver{coldStart: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			s := mode.s
 			pivots, nodes := 0, 0
 			for i := 0; i < b.N; i++ {
-				res, err := s.Solve(p, bins)
+				res, err := s.Solve(p, bins, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,7 +12,7 @@ package layoutgraph
 // hands the graph to the 0-1 ILP.
 //
 // The DP minimizes the SAME perturbed objective branch and bound does
-// (node binary k, phase-major and candidate-minor as SolveILPWS builds
+// (node binary k, phase-major and candidate-minor as SolveILP builds
 // them, raised by ilp.PerturbEps*(k+1); edge variables unperturbed), so
 // wherever that optimum is unique both return the identical choice.
 
@@ -66,9 +66,8 @@ type factor struct {
 // shape is accepted; only width is refused (*OverCapError).  The order
 // is greedy min-degree, degree ties eliminated from the highest phase
 // down, and each step keeps the smallest candidate index among equal
-// minima.  solver supplies NoPerturb and Context only (nil means
-// perturb, no cancellation); node and time limits are ignored — the
-// cap bounds the work.
+// minima.  solver supplies Context only (nil means no cancellation);
+// time limits are ignored — the cap bounds the work.
 func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	g.validate()
 	start := time.Now()
@@ -149,13 +148,11 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 			}
 		}
 	}
-	if !solver.NoPerturb {
-		k := 0
-		for p, costs := range g.NodeCost {
-			for i := range costs {
-				k++
-				node[rep[p]][i] += ilp.PerturbEps * float64(k)
-			}
+	k := 0
+	for p, costs := range g.NodeCost {
+		for i := range costs {
+			k++
+			node[rep[p]][i] += ilp.PerturbEps * float64(k)
 		}
 	}
 
@@ -316,13 +313,10 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	// Self-certification: never return a choice whose cost, recomputed
 	// from the original graph plus its perturbation terms, is not the
 	// optimum the tables found.
-	check := sel.Cost
-	if !solver.NoPerturb {
-		k := 0
-		for p, costs := range g.NodeCost {
-			check += ilp.PerturbEps * float64(k+choice[p]+1)
-			k += len(costs)
-		}
+	check, k := sel.Cost, 0
+	for p, costs := range g.NodeCost {
+		check += ilp.PerturbEps * float64(k+choice[p]+1)
+		k += len(costs)
 	}
 	if math.Abs(check-optimum) > 1e-6*math.Max(1, math.Abs(optimum)) {
 		return nil, &SelfCheckError{Reconstructed: check, Optimum: optimum}
@@ -339,12 +333,12 @@ func zeros(s []int, n int) []int {
 
 // SolveAutoWS answers by the elimination DP and, only when the graph is
 // over the DP's width cap, by the 0-1 ILP with the caller's
-// lp.Workspace (see SolveILPWS).  Selection.Solver records the route.
+// lp.Workspace (see SolveILP).  Selection.Solver records the route.
 func (g *Graph) SolveAutoWS(solver *ilp.Solver, ws *lp.Workspace) (*Selection, error) {
 	sel, err := g.SolveElim(solver)
 	var over *OverCapError
 	if errors.As(err, &over) {
-		return g.SolveILPWS(solver, ws)
+		return g.SolveILP(solver, ws)
 	}
 	return sel, err
 }

@@ -118,8 +118,7 @@ func perturbedOptima(g *Graph) (best []int, margin float64) {
 
 // TestQuickElimMatchesOracles is the soundness property of the one
 // structural route: on random graphs of width at most 3 the elimination
-// DP costs what enumeration costs (with and without perturbation),
-// spends no branch-and-bound node, and — wherever the perturbed optimum
+// DP costs what enumeration costs, spends no branch-and-bound node, and — wherever the perturbed optimum
 // is unique — returns the exact choice vector branch and bound does.
 func TestQuickElimMatchesOracles(t *testing.T) {
 	unique := 0
@@ -139,9 +138,8 @@ func TestQuickElimMatchesOracles(t *testing.T) {
 			t.Logf("seed %d: SolveExhaustive: %v", seed, err)
 			return false
 		}
-		plain, err := g.SolveElim(&ilp.Solver{NoPerturb: true})
-		if err != nil || !approx(sel.Cost, ex.Cost) || !approx(plain.Cost, ex.Cost) || !approx(g.evaluate(sel.Choice), sel.Cost) {
-			t.Logf("seed %d: elim %v, unperturbed %v (%v), exhaustive %v", seed, sel.Cost, plain, err, ex.Cost)
+		if !approx(sel.Cost, ex.Cost) || !approx(g.evaluate(sel.Choice), sel.Cost) {
+			t.Logf("seed %d: elim %v, exhaustive %v", seed, sel.Cost, ex.Cost)
 			return false
 		}
 		for _, tie := range g.Ties {
@@ -155,7 +153,7 @@ func TestQuickElimMatchesOracles(t *testing.T) {
 			return true // equal perturbation sums: any of the optima is right
 		}
 		unique++
-		ilpSel, err := g.SolveILP(nil)
+		ilpSel, err := g.SolveILP(nil, nil)
 		if err != nil {
 			t.Logf("seed %d: SolveILP: %v", seed, err)
 			return false
@@ -181,34 +179,30 @@ func TestQuickElimMatchesOracles(t *testing.T) {
 		t.Errorf("over the cap: route %q, %d vars, cost %v; want an ILP route at cost 8", sel.Solver, sel.Vars, sel.Cost)
 	}
 
+	// Both selections below cost 0; the perturbation, the one tie rule,
+	// prefers [1 0] (binaries 2 and 3) to [0 2] (binaries 1 and 5) on
+	// both routes.
+	tie := &Graph{
+		NodeCost: [][]float64{{0, 0}, {0, 0, 0}},
+		Edges:    []*Edge{{FromPhase: 0, ToPhase: 1, Cost: [][]float64{{9, 9, 0}, {0, 9, 9}}}},
+	}
+	dpTie, err := tie.SolveElim(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ilpTie, err := tie.SolveILP(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := fmt.Sprint(dpTie.Choice), fmt.Sprint(ilpTie.Choice); a != "[1 0]" || b != "[1 0]" {
+		t.Errorf("tie: elim %s, ilp %s, want [1 0] from both", a, b)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ring := frustratedRing(5, rand.New(rand.NewSource(1)))
 	if _, err := ring.SolveElim(&ilp.Solver{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled context: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestTreeNoPerturb: NoPerturb is honoured, not just tolerated.  Both
-// selections below cost 0; the perturbation prefers [1 0] (binaries 2
-// and 3) to [0 2] (binaries 1 and 5), while the unperturbed DP, whose
-// last-eliminated phase 0 keeps the smallest index, returns [0 2].
-func TestTreeNoPerturb(t *testing.T) {
-	g := &Graph{
-		NodeCost: [][]float64{{0, 0}, {0, 0, 0}},
-		Edges:    []*Edge{{FromPhase: 0, ToPhase: 1, Cost: [][]float64{{9, 9, 0}, {0, 9, 9}}}},
-	}
-	for _, tc := range []struct {
-		solver *ilp.Solver
-		want   string
-	}{{nil, "[1 0]"}, {&ilp.Solver{NoPerturb: true}, "[0 2]"}} {
-		sel, err := g.SolveElim(tc.solver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(sel.Choice); got != tc.want || sel.Cost != 0 {
-			t.Errorf("solver %+v: choice %s cost %v, want %s cost 0", tc.solver, got, sel.Cost, tc.want)
-		}
 	}
 }
 

@@ -155,15 +155,9 @@ func (g *Graph) evaluate(choice []int) float64 {
 // selected pair, so no integrality is needed on y; the relaxation is
 // the local marginal polytope, which is integral on trees and tight
 // enough that chain- and ring-shaped programs solve in a handful of
-// branch-and-bound nodes.
-func (g *Graph) SolveILP(solver *ilp.Solver) (*Selection, error) {
-	return g.SolveILPWS(solver, nil)
-}
-
-// SolveILPWS is SolveILP with a caller-owned lp.Workspace so repeated
-// selections (e.g. core's reselect over cached stages) reuse simplex
-// buffers and warm starts.  ws may be nil.
-func (g *Graph) SolveILPWS(solver *ilp.Solver, ws *lp.Workspace) (*Selection, error) {
+// branch-and-bound nodes.  ws is the branch and bound's lp.Workspace
+// (see ilp.Solver.Solve); nil gives the solve a private one.
+func (g *Graph) SolveILP(solver *ilp.Solver, ws *lp.Workspace) (*Selection, error) {
 	g.validate()
 	if solver == nil {
 		solver = &ilp.Solver{}
@@ -228,7 +222,7 @@ func (g *Graph) SolveILPWS(solver *ilp.Solver, ws *lp.Workspace) (*Selection, er
 			constraints++
 		}
 	}
-	res, err := solver.SolveWS(prob, binaries, ws)
+	res, err := solver.Solve(prob, binaries, ws)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func adiToy(r float64) *Graph {
 func TestStaticVsDynamicCrossover(t *testing.T) {
 	// Cheap remapping: the dynamic layout (row for phase 0, column for
 	// phase 1) wins.
-	sel, err := adiToy(5).SolveILP(nil)
+	sel, err := adiToy(5).SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestStaticVsDynamicCrossover(t *testing.T) {
 	// Expensive remapping: a static layout wins even though one phase
 	// is suboptimal (the paper: the optimal layout may consist of
 	// candidates each suboptimal for their phases).
-	sel2, err := adiToy(200).SolveILP(nil)
+	sel2, err := adiToy(200).SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStaticVsDynamicCrossover(t *testing.T) {
 
 func TestSingleCandidatePhases(t *testing.T) {
 	g := &Graph{NodeCost: [][]float64{{7}, {3}}}
-	sel, err := g.SolveILP(nil)
+	sel, err := g.SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDPMatchesILPOnChain(t *testing.T) {
 			{FromPhase: 1, ToPhase: 2, Cost: [][]float64{{0, 1}, {1, 0}}},
 		},
 	}
-	ilpSel, err := g.SolveILP(nil)
+	ilpSel, err := g.SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDPRejectsGeneralGraphs(t *testing.T) {
 // selection passed off as optimal.
 func TestOverCapBudgetBounded(t *testing.T) {
 	start := time.Now()
-	sel, err := overCapGraph().SolveAutoWS(&ilp.Solver{MaxTime: 50 * time.Millisecond}, nil)
+	sel, err := overCapGraph().SolveAutoWS(&ilp.Solver{Deadline: time.Now().Add(50 * time.Millisecond)}, nil)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("50ms budget took %v", elapsed)
 	}
@@ -234,7 +234,7 @@ func TestQuickILPMatchesExhaustive(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
-		ilpSel, err := g.SolveILP(nil)
+		ilpSel, err := g.SolveILP(nil, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -296,7 +296,7 @@ func TestQuickDPMatchesExhaustiveOnChains(t *testing.T) {
 }
 
 func TestILPStatsRecorded(t *testing.T) {
-	sel, err := adiToy(5).SolveILP(nil)
+	sel, err := adiToy(5).SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func BenchmarkSelectionILP(b *testing.B) {
 	g.Edges = append(g.Edges, randomEdge(rng, g, len(g.NodeCost)-1, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.SolveILP(nil); err != nil {
+		if _, err := g.SolveILP(nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,11 +359,12 @@ func frustratedRing(n int, rng *rand.Rand) *Graph {
 }
 
 // TestBranchingSelectionWarmStats pins that a fractional selection
-// actually exercises the warm path and that warm and cold-start modes
-// return the same selection.
+// actually exercises the warm path and returns the selection the
+// elimination DP does.  (The LP-level warm-vs-cold agreement is ilp's
+// TestQuickWarmAgreesWithColdStart.)
 func TestBranchingSelectionWarmStats(t *testing.T) {
 	g := frustratedRing(9, rand.New(rand.NewSource(7)))
-	sel, err := g.SolveILP(nil)
+	sel, err := g.SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,15 +374,12 @@ func TestBranchingSelectionWarmStats(t *testing.T) {
 	if sel.LPWarm == 0 || sel.LPWarm+sel.LPCold != sel.BBNodes {
 		t.Errorf("warm accounting: warm=%d cold=%d nodes=%d", sel.LPWarm, sel.LPCold, sel.BBNodes)
 	}
-	cold, err := g.SolveILP(&ilp.Solver{ColdStart: true})
+	dp, err := g.SolveElim(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.LPWarm != 0 {
-		t.Errorf("cold-start mode warm-started %d nodes", cold.LPWarm)
-	}
-	if !approx(sel.Cost, cold.Cost) || fmt.Sprint(sel.Choice) != fmt.Sprint(cold.Choice) {
-		t.Errorf("warm %v (%v) vs cold-start %v (%v)", sel.Choice, sel.Cost, cold.Choice, cold.Cost)
+	if !approx(sel.Cost, dp.Cost) || fmt.Sprint(sel.Choice) != fmt.Sprint(dp.Choice) {
+		t.Errorf("ILP %v (%v) vs elimination DP %v (%v)", sel.Choice, sel.Cost, dp.Choice, dp.Cost)
 	}
 	// An exhaustive check that the branching answer is the optimum.
 	ex, err := g.SolveExhaustive()
@@ -394,22 +392,21 @@ func TestBranchingSelectionWarmStats(t *testing.T) {
 }
 
 // BenchmarkSelectionILPBranching is the end-to-end selection benchmark
-// on a branching instance, in the default warm-started mode and in
-// ColdStart mode (the pre-workspace algorithm: fresh two-phase solve
-// per node).
+// on a branching instance, by the 0-1 ILP and by the elimination DP
+// that answers it in production.
 func BenchmarkSelectionILPBranching(b *testing.B) {
 	g := frustratedRing(11, rand.New(rand.NewSource(7)))
 	for _, mode := range []struct {
-		name string
-		s    *ilp.Solver
+		name  string
+		solve func() (*Selection, error)
 	}{
-		{"warm", nil},
-		{"cold", &ilp.Solver{ColdStart: true}},
+		{"ilp", func() (*Selection, error) { return g.SolveILP(nil, nil) }},
+		{"elim", func() (*Selection, error) { return g.SolveElim(nil) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			pivots := 0
 			for i := 0; i < b.N; i++ {
-				sel, err := g.SolveILP(mode.s)
+				sel, err := mode.solve()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -427,7 +424,7 @@ func TestTiesForceEqualChoice(t *testing.T) {
 		NodeCost: [][]float64{{1, 5}, {9, 2}},
 		Ties:     [][2]int{{0, 1}},
 	}
-	sel, err := g.SolveILP(nil)
+	sel, err := g.SolveILP(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +454,7 @@ func TestQuickTiesMatchExhaustive(t *testing.T) {
 		}
 		p := rng.Intn(phases - 1)
 		g.Ties = [][2]int{{p, p + 1}}
-		ilpSel, err := g.SolveILP(nil)
+		ilpSel, err := g.SolveILP(nil, nil)
 		if err != nil {
 			return false
 		}

@@ -16,7 +16,7 @@ import "math"
 // changed objective, a free variable with nonzero reduced cost, a
 // stall/cycle, numerical drift) the workspace transparently falls back
 // to a cold two-phase solve, so a warm call is never less correct than
-// Solve — only cheaper.
+// Problem.Solve — only cheaper.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its
 // own (align.BuildSearchSpaces keeps one per call).
@@ -40,13 +40,6 @@ type Workspace struct {
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// Solve runs a cold two-phase solve of p inside the workspace, reusing
-// its buffers.  The returned Solution (including X) is owned by the
-// workspace and valid only until the next call.
-func (ws *Workspace) Solve(p *Problem, abort func() bool) (*Solution, error) {
-	return ws.cold(p, abort)
-}
 
 // ReoptimizeBounds sets variable v's bounds to [lo, hi] on p and
 // reoptimizes, warm-starting from the previous basis when possible.

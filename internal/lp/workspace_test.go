@@ -87,7 +87,7 @@ func TestQuickReoptimizeBounds(t *testing.T) {
 			p = randomMixedLP(rng, n, m)
 		}
 		ws := NewWorkspace()
-		sol, err := ws.Solve(p, nil)
+		sol, err := ws.Reoptimize(p, nil)
 		if err != nil {
 			t.Logf("seed %d: cold: %v", seed, err)
 			return false
@@ -132,7 +132,7 @@ func TestWarmPathActuallyUsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomBoxLP(rng, 6, 6)
 	ws := NewWorkspace()
-	if _, err := ws.Solve(p, nil); err != nil {
+	if _, err := ws.Reoptimize(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 20; step++ {
@@ -161,7 +161,7 @@ func TestWarmCapFallsBackCold(t *testing.T) {
 	p := randomMixedLP(rng, 5, 6)
 	ws := NewWorkspace()
 	ws.warmCap = -1 // stall before the first dual pivot
-	if _, err := ws.Solve(p, nil); err != nil {
+	if _, err := ws.Reoptimize(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 8; step++ {
@@ -200,7 +200,7 @@ func TestReoptimizeDegenerate(t *testing.T) {
 	}
 	p.AddConstraint([]Term{{x[0], 1}, {x[1], 1}, {x[2], 1}, {x[3], 1}}, LE, 0)
 	ws := NewWorkspace()
-	sol, err := ws.Solve(p, nil)
+	sol, err := ws.Reoptimize(p, nil)
 	if err != nil || sol.Status != Optimal || !approx(sol.Objective, 0, 1e-9) {
 		t.Fatalf("cold: %v %+v", err, sol)
 	}
@@ -232,7 +232,7 @@ func TestWorkspaceCrossProblem(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomMixedLP(rng, 2+rng.Intn(5), 1+rng.Intn(6))
 		cold := ws.Cold
-		sol, err := ws.Solve(p, nil)
+		sol, err := ws.Reoptimize(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestWarmReoptimizeAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomBoxLP(rng, 8, 8)
 	ws := NewWorkspace()
-	if _, err := ws.Solve(p, nil); err != nil {
+	if _, err := ws.Reoptimize(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	v := 0
@@ -278,14 +278,14 @@ func TestColdResolveAllocFree(t *testing.T) {
 	big := randomBoxLP(rng, 24, 18)
 	small := randomBoxLP(rng, 5, 4)
 	ws := NewWorkspace()
-	if _, err := ws.Solve(big, nil); err != nil {
+	if _, err := ws.Reoptimize(big, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ws.Solve(big, nil); err != nil {
+		if _, err := ws.Reoptimize(big, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.Solve(small, nil); err != nil {
+		if _, err := ws.Reoptimize(small, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

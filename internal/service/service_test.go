@@ -429,6 +429,7 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown machine", `{"v":1,"source":"program p\nend\n","procs":4,"machine":"cm5"}`, http.StatusBadRequest, "bad_request"},
 		{"syntax error", `{"v":1,"source":"this is not fortran","procs":4}`, http.StatusBadRequest, "syntax"},
 		{"too few procs", `{"v":1,"source":"program p\nend\n","procs":1}`, http.StatusBadRequest, "validation"},
+		{"default_prob out of range", `{"v":1,"source":"program p\nend\n","procs":4,"default_prob":-0.5}`, http.StatusBadRequest, "validation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -144,12 +144,6 @@ func (g *gauge) add(d int) {
 	g.mu.Unlock()
 }
 
-func (g *gauge) load() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
 // waitZero blocks until the gauge reaches zero or the bound elapses,
 // reporting whether it reached zero.
 func (g *gauge) waitZero(bound time.Duration) bool {

@@ -57,13 +57,6 @@ func (p *Program) add(proc int, ops ...Op) {
 	p.Streams[proc] = append(p.Streams[proc], ops...)
 }
 
-// append merges q's streams after p's.
-func (p *Program) append(q *Program) {
-	for i := range p.Streams {
-		p.Streams[i] = append(p.Streams[i], q.Streams[i]...)
-	}
-}
-
 // LowerPhase lowers one execution of a phase under a candidate layout
 // into processor streams.
 func LowerPhase(u *fortran.Unit, pi *dep.PhaseInfo, l *layout.Layout, plan *compmodel.Plan,
@@ -79,7 +72,7 @@ func LowerPhase(u *fortran.Unit, pi *dep.PhaseInfo, l *layout.Layout, plan *comp
 		if e.Level >= 0 && e.Pattern == machine.Shift && feedsPipeline(plan, e) {
 			continue // folded into the pipeline stages below
 		}
-		lowerEvent(prog, e, m)
+		lowerEvent(prog, e)
 	}
 
 	if len(plan.CrossDeps) == 0 {
@@ -140,7 +133,7 @@ func pipelineStride(plan *compmodel.Plan, bind compmodel.CrossDep) machine.Strid
 }
 
 // lowerEvent emits the message ops of one non-pipelined event.
-func lowerEvent(prog *Program, e compmodel.Event, m *machine.Model) {
+func lowerEvent(prog *Program, e compmodel.Event) {
 	procs := prog.Procs
 	reps := int(math.Max(math.Round(e.Count), 1))
 	if e.Count < 0.5 {
@@ -234,7 +227,7 @@ func lowerAllToAll(prog *Program, bytes int) {
 // targets all-gather via a broadcast tree, and distributed-to-
 // distributed transitions run an all-to-all personalized exchange of
 // each array's per-processor share.
-func LowerRemap(from, to *layout.Layout, arrays map[string]*fortran.Array, names []string, m *machine.Model) *Program {
+func LowerRemap(from, to *layout.Layout, arrays map[string]*fortran.Array, names []string) *Program {
 	procs := from.Procs()
 	if p := to.Procs(); p > procs {
 		procs = p

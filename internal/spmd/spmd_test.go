@@ -222,7 +222,7 @@ func TestLowerRemapAllToAll(t *testing.T) {
 	m := machine.IPSC860()
 	arr := &fortran.Array{Name: "x", Type: fortran.Double, Extents: []int{64, 64}}
 	arrays := map[string]*fortran.Array{"x": arr}
-	prog := spmd.LowerRemap(remapLayout(0, 4), remapLayout(1, 4), arrays, []string{"x"}, m)
+	prog := spmd.LowerRemap(remapLayout(0, 4), remapLayout(1, 4), arrays, []string{"x"})
 	sends := 0
 	for _, stream := range prog.Streams {
 		for _, op := range stream {
@@ -244,18 +244,17 @@ func TestLowerRemapAllToAll(t *testing.T) {
 }
 
 func TestLowerRemapReplicatedSourceFree(t *testing.T) {
-	m := machine.IPSC860()
 	arr := &fortran.Array{Name: "x", Type: fortran.Double, Extents: []int{64, 64}}
 	arrays := map[string]*fortran.Array{"x": arr}
 	// Replicated -> distributed needs no messages.
-	prog := spmd.LowerRemap(remapLayout(-1, 4), remapLayout(1, 4), arrays, []string{"x"}, m)
+	prog := spmd.LowerRemap(remapLayout(-1, 4), remapLayout(1, 4), arrays, []string{"x"})
 	for _, stream := range prog.Streams {
 		if len(stream) != 0 {
 			t.Fatalf("replicated source should lower to nothing, got %v", stream)
 		}
 	}
 	// Distributed -> replicated all-gathers (a broadcast tree here).
-	prog2 := spmd.LowerRemap(remapLayout(0, 4), remapLayout(-1, 4), arrays, []string{"x"}, m)
+	prog2 := spmd.LowerRemap(remapLayout(0, 4), remapLayout(-1, 4), arrays, []string{"x"})
 	sends := 0
 	for _, stream := range prog2.Streams {
 		for _, op := range stream {

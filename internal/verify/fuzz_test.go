@@ -59,7 +59,7 @@ func FuzzVerify(f *testing.F) {
 	f.Add([]byte{2, 5, 251, 2, 1, 1, 0, 1, 3, 3, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, binaries := fuzzProblem(data)
-		res, err := (&ilp.Solver{Certify: verify.CheckILP, CertifyLP: verify.CheckLP}).Solve(p, binaries)
+		res, err := (&ilp.Solver{Certify: verify.CheckILP, CertifyLP: verify.CheckLP}).Solve(p, binaries, nil)
 		if err != nil {
 			var ve *verify.Error
 			if errors.As(err, &ve) {

@@ -54,7 +54,7 @@ func TestPropertyBBMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 400; trial++ {
 		p, binaries := randProblem(rng)
-		got, err := certifyingSolver().Solve(p, binaries)
+		got, err := certifyingSolver().Solve(p, binaries, nil)
 		if err != nil {
 			t.Fatalf("trial %d: certified solve failed: %v", trial, err)
 		}
@@ -90,7 +90,7 @@ func fixedProblem() (*lp.Problem, []int) {
 func solveFixed(t *testing.T) (*lp.Problem, []int, *ilp.Result) {
 	t.Helper()
 	p, binaries := fixedProblem()
-	res, err := certifyingSolver().Solve(p, binaries)
+	res, err := certifyingSolver().Solve(p, binaries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
