@@ -417,27 +417,6 @@ func BenchmarkSimulatorAdi(b *testing.B) {
 	b.ReportMetric(total/1e6, "s-simulated")
 }
 
-// BenchmarkAblationPhaseMerging measures the phase-merging
-// preprocessing (§2.1): tied pairs and the preserved optimum.
-func BenchmarkAblationPhaseMerging(b *testing.B) {
-	src := programs.Shallow(256, fortran.Real)
-	var merged *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		merged, err = core.Analyze(context.Background(), core.Input{Source: src}, core.Options{Procs: 16, MergePhases: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	plain, err := core.Analyze(context.Background(), core.Input{Source: src}, core.Options{Procs: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(merged.MergedPairs), "tied-pairs")
-	b.ReportMetric(merged.TotalCost/1e6, "s-est-merged")
-	b.ReportMetric(plain.TotalCost/1e6, "s-est-plain")
-}
-
 // BenchmarkSelectionUnderDeadline measures graceful degradation on a
 // selection graph far beyond the paper's sizes: a ring of phases with
 // extra chords (so the LP relaxation is fractional), solved by the ILP

@@ -45,7 +45,8 @@
 // and each edit prints the new layout plus a replayed-vs-reused
 // summary line.  A save that does not parse is reported as a comment
 // and the previous analysis stays current; -stats adds the full
-// counter line per edit.
+// counter line per edit.  An interrupt (Ctrl-C) ends the loop and the
+// tool exits 0.
 //
 // -json swaps the HPF text for the versioned core.Response document —
 // the exact body layoutd's POST /v1/analyze returns — and -stats emits
@@ -70,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
@@ -345,9 +347,11 @@ func runSweep(src string, opt core.Options, grid string, stats bool) error {
 // alignment solves, pricings and (when nothing relevant moved) the
 // selection; the per-edit summary line reports exactly how much
 // replayed.  A save that fails to parse — half-typed edits are normal
-// — prints a comment and leaves the previous analysis current.
+// — prints a comment and leaves the previous analysis current.  An
+// interrupt stops the loop cleanly.
 func runWatch(path, src string, opt core.Options, stats bool) error {
-	ctx := context.Background()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	sess, err := core.NewSession(ctx, core.Input{Source: src}, opt)
 	if err != nil {
 		return err
@@ -360,7 +364,12 @@ func runWatch(path, src string, opt core.Options, stats bool) error {
 	fmt.Printf("! watching %s for edits (interrupt to stop)\n", path)
 	last := src
 	for {
-		time.Sleep(300 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+			fmt.Println("! watch: interrupted, stopping")
+			return nil
+		case <-time.After(300 * time.Millisecond):
+		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			// A transient editor rename/replace; report once per change.

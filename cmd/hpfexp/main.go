@@ -8,7 +8,9 @@
 //	hpfexp -fig 3          # one figure (2, 3, 4, 5, 6, 7 or 8)
 //	hpfexp -table ilp      # 0-1 problem sizes and solve times
 //	hpfexp -table summary  # the full 99-case suite statistics
-//	hpfexp -all            # everything
+//	hpfexp -table cases    # every case of the suite, then its statistics
+//	hpfexp -table ablation # estimated time per design alternative
+//	hpfexp -all            # everything: figures, ilp, cases, ablation
 package main
 
 import (
@@ -38,12 +40,14 @@ func main() {
 			}
 			fmt.Println()
 		}
-		if err := renderTable("ilp"); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if err := renderTable("summary"); err != nil {
-			fatal(err)
+		// cases prints the summary too, from the same suite runs.
+		for i, t := range []string{"ilp", "cases", "ablation"} {
+			if i > 0 {
+				fmt.Println()
+			}
+			if err := renderTable(t); err != nil {
+				fatal(err)
+			}
 		}
 		return
 	}
@@ -137,7 +141,7 @@ func renderTable(name string) error {
 		}
 		fmt.Print(experiments.RenderILPSizes(rows))
 	case "ablation":
-		rows, err := experiments.Ablations(true)
+		rows, err := experiments.Ablations()
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,10 @@
 // Golden end-to-end regression corpus: for each program in the corpus
 // the expected data layout and cost live under testdata/golden/, and
-// every run — at Workers=1 and Workers=8, a field the pipeline ignores
-// — must reproduce them byte for byte.  A behavior change that shifts a layout or a cost shows up
-// as a readable golden diff instead of a silently different answer.
+// every run — two cold runs, warm Session and store-warmed re-runs —
+// must reproduce them byte for byte.  A behavior change that shifts a
+// layout or a cost shows up as a readable golden diff instead of a
+// silently different answer.  The runs pass Workers=1 and Workers=8, a
+// field the pipeline ignores.
 //
 // Regenerate after an intentional change with:
 //
@@ -89,7 +91,7 @@ func TestGoldenCorpus(t *testing.T) {
 				renders = append(renders, goldenRender(res))
 			}
 			if renders[0] != renders[1] {
-				t.Fatalf("Workers=1 and Workers=8 disagree:\n--- w1 ---\n%s\n--- w8 ---\n%s", renders[0], renders[1])
+				t.Fatalf("two cold runs disagree:\n--- first ---\n%s\n--- second ---\n%s", renders[0], renders[1])
 			}
 			// A warm Session re-run over a shared cache must be
 			// byte-identical to the cold runs above: the cached front

@@ -36,27 +36,6 @@ import (
 // different artifact kinds in disjoint key spaces.
 type Key string
 
-// Kind returns the key's kind tag (the part before the colon).
-func (k Key) Kind() string {
-	for i := 0; i < len(k); i++ {
-		if k[i] == ':' {
-			return string(k[:i])
-		}
-	}
-	return string(k)
-}
-
-// Short returns an abbreviated form for logs and debug output.
-func (k Key) Short() string {
-	const n = 12
-	kind := k.Kind()
-	hexPart := string(k[len(kind)+1:])
-	if len(hexPart) > n {
-		hexPart = hexPart[:n]
-	}
-	return kind + ":" + hexPart
-}
-
 // Hasher accumulates an artifact's content into a key.  The writer
 // methods are length-prefixed and type-tagged, so distinct field
 // sequences can never produce colliding digests by concatenation

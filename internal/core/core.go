@@ -115,10 +115,6 @@ type Options struct {
 	// paper's ILP-size figure, DP-vs-ILP benchmarks and tests that need
 	// a solve with a budget to exhaust.  Not a wire option.
 	ForceILP bool
-	// MergePhases ties adjacent phases together in the selection when
-	// remapping between them can never be profitable (§2.1's phase
-	// merging, after Sheffler et al.), shrinking the search.
-	MergePhases bool
 	// DefaultTrip for dependence analysis (0 ⇒ 100).
 	DefaultTrip int
 	// Timeout bounds the wall-clock time spent in 0-1 solves across the
@@ -327,10 +323,6 @@ type Result struct {
 	Elapsed time.Duration
 	// Dynamic reports whether the chosen layout remaps at runtime.
 	Dynamic bool
-
-	// MergedPairs counts the adjacent phase pairs tied together by the
-	// phase-merging preprocessing (Options.MergePhases).
-	MergedPairs int
 
 	// Degradations lists every graceful fallback taken during the run
 	// (empty for a fully optimal solve).  The layouts are valid either

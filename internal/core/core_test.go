@@ -446,58 +446,6 @@ func TestDeleteCandidateAndReselect(t *testing.T) {
 	}
 }
 
-func TestMergePhasesPreservesOptimum(t *testing.T) {
-	plain, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8, MergePhases: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.MergedPairs == 0 {
-		t.Error("expected some phases to merge")
-	}
-	// The local never-profitable test must not change the optimum here.
-	if diff := merged.TotalCost - plain.TotalCost; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("merging changed the optimum: %v vs %v", merged.TotalCost, plain.TotalCost)
-	}
-}
-
-func TestMergePhasesDoesNotCrossProfitableBoundaries(t *testing.T) {
-	// On a case where the tool chooses a dynamic layout, merging must
-	// not eliminate the remap (the boundary pair fails the local test).
-	src := `
-program p
-  parameter (n = 48)
-  double precision x(n,n), b(n,n)
-  do it = 1, 10
-    do j = 2, n
-      do i = 1, n
-        x(i,j) = x(i,j) - x(i,j-1)*b(i,j)
-      end do
-    end do
-    do j = 1, n
-      do i = 2, n
-        x(i,j) = x(i,j) - x(i-1,j)*b(i,j)
-      end do
-    end do
-  end do
-end
-`
-	plain, err := Analyze(context.Background(), Input{Source: src}, Options{Procs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Analyze(context.Background(), Input{Source: src}, Options{Procs: 16, MergePhases: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := merged.TotalCost - plain.TotalCost; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("merging changed the optimum: %v vs %v", merged.TotalCost, plain.TotalCost)
-	}
-}
-
 func TestExplainPhase(t *testing.T) {
 	res, err := Analyze(context.Background(), Input{Source: adiSmall}, Options{Procs: 8})
 	if err != nil {

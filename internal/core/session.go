@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"sync"
 
-	"repro/internal/artifact"
 	"repro/internal/cag"
 	"repro/internal/stage"
 )
@@ -31,9 +31,9 @@ import (
 // the front-half artifacts live in an immutable snapshot that Update
 // swaps atomically under the session mutex (Update calls themselves
 // serialize).  The front-half options the session was built with
-// (PCFG, DefaultTrip, Align) are pinned: Analyze and Update silently
-// substitute the session's values, because the cached artifacts were
-// derived from them.
+// (PCFG, DefaultTrip, Align) are pinned: the cached artifacts were
+// derived from them, so Analyze and Update inherit them when a call
+// leaves them zero and reject a call that sets a different value.
 type Session struct {
 	opt Options // validated + defaulted front-half options
 
@@ -59,17 +59,31 @@ func (s *Session) snapshot() *frontState {
 	return s.st
 }
 
-// effective merges one call's options with the session's: zero Procs
-// and Machine inherit the session's values, and the front-half options
-// are pinned — the cached artifacts were derived from them, so honoring
-// different values would silently produce a result no cold run could.
-// The merged options are validated and defaulted.
+// effective merges one call's options with the session's: zero Procs,
+// Machine and front-half options inherit the session's values.  A
+// front-half option set to a different value is a *ValidationError
+// naming the field: the cached artifacts were derived from the
+// session's value, so answering would silently produce a result no
+// cold run with the call's options could.  The merged options are
+// validated and defaulted.
 func (s *Session) effective(opt Options) (Options, error) {
 	if opt.Procs == 0 {
 		opt.Procs = s.opt.Procs
 	}
 	if opt.Machine == nil {
 		opt.Machine = s.opt.Machine
+	}
+	for _, err := range []error{
+		pinned("DefaultTrip", opt.DefaultTrip, s.opt.DefaultTrip),
+		pinned("PCFG.DefaultTrip", opt.PCFG.DefaultTrip, s.opt.PCFG.DefaultTrip),
+		pinned("PCFG.DefaultProb", opt.PCFG.DefaultProb, s.opt.PCFG.DefaultProb),
+		pinned("PCFG.IgnoreProbHints", opt.PCFG.IgnoreProbHints, s.opt.PCFG.IgnoreProbHints),
+		pinned("Align.Greedy", opt.Align.Greedy, s.opt.Align.Greedy),
+		pinned("Align.ImportScale", opt.Align.ImportScale, s.opt.Align.ImportScale),
+	} {
+		if err != nil {
+			return opt, err
+		}
 	}
 	opt.PCFG = s.opt.PCFG
 	opt.DefaultTrip = s.opt.DefaultTrip
@@ -78,6 +92,18 @@ func (s *Session) effective(opt Options) (Options, error) {
 		return opt, err
 	}
 	return opt.withDefaults(), nil
+}
+
+// pinned checks one front-half option of a call against the session's
+// value: zero inherits, an equal value agrees, anything else is
+// rejected.
+func pinned[T comparable](field string, call, sess T) error {
+	var zero T
+	if call == zero || call == sess {
+		return nil
+	}
+	return &ValidationError{Msg: fmt.Sprintf("%s = %v, but the session was built with %v; front-half options are fixed per Session",
+		field, call, sess)}
 }
 
 // frontRun is the session's context for one front-half run over prev
@@ -101,7 +127,7 @@ func (s *Session) frontRun(opt Options, prev *frontState) *incrementalRun {
 // options' machine-dependent fields (Machine, Procs, Compiler, ...) act
 // as defaults for Analyze calls that pass zero Options fields; the
 // front-half fields (PCFG, DefaultTrip, Align) are fixed for the
-// session's lifetime.
+// session's lifetime (a call may repeat them or leave them zero).
 func NewSession(ctx context.Context, in Input, opt Options) (s *Session, err error) {
 	defer promoteCert(&err)
 	defer guard(&err)
@@ -121,9 +147,10 @@ func NewSession(ctx context.Context, in Input, opt Options) (s *Session, err err
 
 // Analyze runs the machine-dependent back half — candidate search
 // spaces, pricing, selection — over the session's cached front half.
-// Zero-valued option fields inherit the session's values; the
-// front-half fields (PCFG, DefaultTrip, Align) always do, since the
-// cached artifacts embody them.  The returned Result is byte-identical
+// Zero-valued option fields inherit the session's values; a front-half
+// field (PCFG, DefaultTrip, Align) set to a value other than the
+// session's is a *ValidationError, since the cached artifacts embody
+// the session's.  The returned Result is byte-identical
 // to a cold core.Analyze with the effective options.
 func (s *Session) Analyze(ctx context.Context, opt Options) (res *Result, err error) {
 	defer promoteCert(&err)
@@ -153,7 +180,7 @@ func (s *Session) Analyze(ctx context.Context, opt Options) (res *Result, err er
 // new source, memo and cache hits re-certify when verification is on,
 // and the final Certify pass re-derives every claimed cost from the
 // models.  Option merging follows Analyze (front-half options pinned,
-// Procs/Machine inherited).  Update calls serialize on the session;
+// zero fields inherited).  Update calls serialize on the session;
 // concurrent Analyze calls keep reading the previous snapshot until
 // Update swaps in the new one.
 func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Result, err error) {
@@ -193,26 +220,6 @@ func (s *Session) Update(ctx context.Context, src string, opt Options) (res *Res
 	s.edits++
 	inc.finish(res, s.edits)
 	return res, nil
-}
-
-// Key is the content-hash key of the session's most derived cached
-// artifact (the alignment search spaces), which transitively covers the
-// program and every front-half option: two sessions with equal keys are
-// interchangeable.
-func (s *Session) Key() artifact.Key {
-	return s.snapshot().align.key
-}
-
-// Artifacts returns the content-hash keys of the cached front-half
-// stage products, keyed by the package stage vocabulary (the same map
-// every derived Result carries).
-func (s *Session) Artifacts() map[string]artifact.Key {
-	st := s.snapshot()
-	return map[string]artifact.Key{
-		stage.Parse:      st.unit.key,
-		stage.Dep:        st.dep.key,
-		stage.AlignSolve: st.align.key,
-	}
 }
 
 // FrontTimes reports the wall-clock time the front-half stages took

@@ -2,16 +2,21 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/align"
+	"repro/internal/artifact"
 	"repro/internal/fortran"
 	"repro/internal/machine"
+	"repro/internal/pcfg"
 	"repro/internal/programs"
 	"repro/internal/stage"
 )
@@ -117,27 +122,81 @@ func TestSessionMatchesColdAnalyze(t *testing.T) {
 	}
 }
 
-// TestSessionPinsFrontOptions: the cached artifacts embody the
-// session's PCFG/trip/alignment options, so an Analyze call passing
-// different values for those fields gets the session's, not its own —
-// never a hybrid no cold run could produce.
+// TestSessionPinsFrontOptions: a front-half option equal to the
+// session's, or left zero, is answered from the cached front half
+// exactly as a cold run with the session's value; a different value is
+// a *ValidationError naming the field, from Analyze and Update alike.
 func TestSessionPinsFrontOptions(t *testing.T) {
-	sess, err := NewSession(context.Background(), Input{Source: adiSmall},
-		Options{Procs: 4, DefaultTrip: 50})
+	ctx := context.Background()
+	sess, err := NewSession(ctx, Input{Source: adiSmall}, Options{Procs: 4, DefaultTrip: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sess.Analyze(context.Background(), Options{Procs: 8, DefaultTrip: 999})
+	cold, err := Analyze(ctx, Input{Source: adiSmall}, Options{Procs: 8, DefaultTrip: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Analyze(context.Background(), Input{Source: adiSmall},
-		Options{Procs: 8, DefaultTrip: 50})
+	for _, trip := range []int{0, 50} {
+		warm, err := sess.Analyze(ctx, Options{Procs: 8, DefaultTrip: trip})
+		if err != nil {
+			t.Fatalf("DefaultTrip %d: %v", trip, err)
+		}
+		if render(cold) != render(warm) {
+			t.Fatalf("DefaultTrip %d: session answer differs from the cold run with the session's DefaultTrip", trip)
+		}
+	}
+	wantFieldError(t, "DefaultTrip", func() error {
+		_, err := sess.Analyze(ctx, Options{Procs: 8, DefaultTrip: 999})
+		return err
+	})
+	wantFieldError(t, "DefaultTrip", func() error {
+		_, err := sess.Update(ctx, adiSmall, Options{DefaultTrip: 999})
+		return err
+	})
+}
+
+// TestSessionRejectsUnusedFrontOptions is the F7 case: a session built
+// on Tomcatv's annotated branch probabilities must not answer a call
+// that asks to ignore them (a cold run of that call picks by the
+// guessed 50 %), and every one of the six front-half options is
+// checked by name.
+func TestSessionRejectsUnusedFrontOptions(t *testing.T) {
+	ctx := context.Background()
+	src := goldenSources(t)["tomcatv"]
+	sess, err := NewSession(ctx, Input{Source: src}, Options{Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if render(cold) != render(warm) {
-		t.Fatal("session did not pin its front-half DefaultTrip")
+	wantFieldError(t, "PCFG.IgnoreProbHints", func() error {
+		_, err := sess.Analyze(ctx, Options{PCFG: pcfg.Options{IgnoreProbHints: true}})
+		return err
+	})
+	wantFieldError(t, "PCFG.IgnoreProbHints", func() error {
+		_, err := sess.Update(ctx, src, Options{PCFG: pcfg.Options{IgnoreProbHints: true}})
+		return err
+	})
+	for field, opt := range map[string]Options{
+		"DefaultTrip":       {DefaultTrip: 7},
+		"PCFG.DefaultTrip":  {PCFG: pcfg.Options{DefaultTrip: 7}},
+		"PCFG.DefaultProb":  {PCFG: pcfg.Options{DefaultProb: 0.3}},
+		"Align.Greedy":      {Align: align.Options{Greedy: true}},
+		"Align.ImportScale": {Align: align.Options{ImportScale: 5}},
+	} {
+		wantFieldError(t, field, func() error {
+			_, err := sess.Analyze(ctx, opt)
+			return err
+		})
+	}
+}
+
+// wantFieldError asserts call fails with a *ValidationError whose
+// message starts with the field's name.
+func wantFieldError(t *testing.T, field string, call func() error) {
+	t.Helper()
+	err := call()
+	var ve *ValidationError
+	if !errors.As(err, &ve) || !strings.HasPrefix(ve.Msg, field+" = ") {
+		t.Errorf("%s differs from the session's: err = %v (%T), want a *ValidationError naming the field", field, err, err)
 	}
 }
 
@@ -166,40 +225,33 @@ func TestSessionInheritsDefaults(t *testing.T) {
 	}
 }
 
-// TestSessionArtifacts: artifact keys are exposed, stable across
-// sessions of the same program, and distinct across programs.
+// TestSessionArtifacts: session results carry every front-half
+// artifact key, stable across sessions of the same program and
+// distinct across programs.
 func TestSessionArtifacts(t *testing.T) {
-	s1, err := NewSession(context.Background(), Input{Source: adiSmall}, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
+	arts := func(src string, procs int) map[string]artifact.Key {
+		t.Helper()
+		sess, err := NewSession(context.Background(), Input{Source: src}, Options{Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Analyze(context.Background(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Artifacts
 	}
-	s2, err := NewSession(context.Background(), Input{Source: adiSmall}, Options{Procs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Key() != s2.Key() {
-		t.Error("same program and front-half options, different session keys (Procs must not matter)")
-	}
-	arts := s1.Artifacts()
+	a4, a16 := arts(adiSmall, 4), arts(adiSmall, 16)
 	for _, st := range []string{stage.Parse, stage.Dep, stage.AlignSolve} {
-		if arts[st] == "" {
+		if a4[st] == "" {
 			t.Errorf("no artifact key for stage %s", st)
 		}
+		if a4[st] != a16[st] {
+			t.Errorf("stage %s: same program and front-half options, different keys (Procs must not matter)", st)
+		}
 	}
-	res, err := s1.Analyze(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Artifacts[stage.Parse] != arts[stage.Parse] {
-		t.Error("Result.Artifacts disagrees with Session.Artifacts")
-	}
-	other, err := NewSession(context.Background(), Input{Source: "program p\nreal a(8)\na(1) = 0.0\nend"},
-		Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Key() == s1.Key() {
-		t.Error("different programs share a session key")
+	if other := arts("program p\nreal a(8)\na(1) = 0.0\nend", 4); other[stage.AlignSolve] == a4[stage.AlignSolve] {
+		t.Error("different programs share an alignment artifact key")
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -356,7 +355,6 @@ func backAnalyze(ctx context.Context, start time.Time, opt Options, st *frontSta
 				Bool(opt.Cyclic).
 				Bool(opt.MultiDim).
 				Bool(opt.UseDP).
-				Bool(opt.MergePhases).
 				Key())
 		}
 	}
@@ -548,10 +546,6 @@ func (r *Result) reselect(ctx context.Context, solver *ilp.Solver) error {
 			lg.Edges[k] = edge
 		}
 	}
-	if r.opt.MergePhases {
-		lg.Ties = r.mergeTies(lg)
-		r.MergedPairs = len(lg.Ties)
-	}
 	if ferr := r.opt.Fault.Err(stage.Selection); ferr != nil {
 		return ferr
 	}
@@ -710,73 +704,6 @@ func (r *Result) selectionPut(sel *layoutgraph.Selection) {
 	if r.store != nil {
 		r.store.put(r.selCtx, encodeSelection(*sel))
 	}
-}
-
-// mergeTies finds adjacent phase pairs that can safely be tied
-// together ("merged if remapping can never be profitable between
-// them", §2.1).  Tying (p, q) removes the edge p→q as a potential
-// remapping point, which is sound when any layout switch placed there
-// can instead be placed just after q at no extra cost:
-//
-//   - p and q carry identical candidate layouts (same keys, same
-//     order), so a common choice is well-defined;
-//   - q's candidates all cost the same (a layout-indifferent phase),
-//     so adopting p's layout is free for q; and
-//   - every PCFG successor r of q has liveIn(r) ⊆ liveIn(q), so the
-//     postponed remap moves no more data than the suppressed one.
-func (r *Result) mergeTies(lg *layoutgraph.Graph) [][2]int {
-	hasEdge := func(p, q int) bool {
-		for _, e := range lg.Edges {
-			if e.FromPhase == p && e.ToPhase == q {
-				return true
-			}
-		}
-		return false
-	}
-	var ties [][2]int
-	for p := 0; p+1 < len(r.Phases); p++ {
-		q := p + 1
-		a, b := r.Phases[p], r.Phases[q]
-		if len(a.Candidates) != len(b.Candidates) || !hasEdge(p, q) {
-			continue
-		}
-		same := true
-		for i := range a.Candidates {
-			if a.Candidates[i].Layout.Key() != b.Candidates[i].Layout.Key() {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
-		}
-		// Layout indifference of q.
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range b.Candidates {
-			lo = math.Min(lo, c.Cost)
-			hi = math.Max(hi, c.Cost)
-		}
-		if hi-lo > 1e-9*math.Max(1, hi) {
-			continue
-		}
-		// Successor live sets must shrink.
-		shrinks := true
-		for _, e := range r.PCFG.Successors(b.Phase.ID) {
-			for arr := range r.LiveIn[e.To] {
-				if !r.LiveIn[b.Phase.ID][arr] {
-					shrinks = false
-					break
-				}
-			}
-			if !shrinks {
-				break
-			}
-		}
-		if shrinks {
-			ties = append(ties, [2]int{p, q})
-		}
-	}
-	return ties
 }
 
 // liveness computes, per phase, the arrays live on entry by backward

@@ -124,9 +124,6 @@ type Request struct {
 	// UseDP runs the selection by the elimination DP alone: over its
 	// table cap the request fails instead of falling back to the ILP.
 	UseDP bool `json:"use_dp,omitempty"`
-	// MergePhases ties adjacent phases when remapping between them can
-	// never be profitable.
-	MergePhases bool `json:"merge_phases,omitempty"`
 	// GreedyAlign uses greedy alignment conflict resolution.
 	GreedyAlign bool `json:"greedy_align,omitempty"`
 	// ImportScale overrides the CAG import weight scale (0 = default).
@@ -196,7 +193,6 @@ func (r *Request) BuildOptions() (Options, error) {
 		Cyclic:      r.Cyclic,
 		MultiDim:    r.MultiDim,
 		UseDP:       r.UseDP,
-		MergePhases: r.MergePhases,
 		Compiler:    r.Compiler,
 		DefaultTrip: r.DefaultTrip,
 		Timeout:     time.Duration(r.TimeoutMS) * time.Millisecond,
@@ -253,7 +249,6 @@ func (r *Request) Key(opt Options) artifact.Key {
 		Bool(opt.Cyclic).
 		Bool(opt.MultiDim).
 		Bool(opt.UseDP).
-		Bool(opt.MergePhases).
 		Bool(opt.Align.Greedy).
 		Float(opt.Align.ImportScale).
 		Bool(opt.PCFG.IgnoreProbHints).

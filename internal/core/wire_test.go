@@ -48,7 +48,6 @@ func fullRequest() *Request {
 		Cyclic:          true,
 		MultiDim:        true,
 		UseDP:           true,
-		MergePhases:     true,
 		GreedyAlign:     true,
 		ImportScale:     500,
 		IgnoreProbHints: true,
@@ -77,7 +76,7 @@ func TestRequestSchemaPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"v":1,"source":"program p\nend\n","procs":8,"machine":"paragon",` +
-		`"cyclic":true,"multidim":true,"use_dp":true,"merge_phases":true,` +
+		`"cyclic":true,"multidim":true,"use_dp":true,` +
 		`"greedy_align":true,"import_scale":500,"ignore_prob_hints":true,` +
 		`"default_trip":50,"default_prob":0.25,` +
 		`"compiler":{"no_message_vectorization":true,"no_message_coalescing":true,` +
@@ -113,6 +112,8 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"trailing data", `{"v":1,"source":"x","procs":4}{"v":1}`},
 		{"wrong version", `{"v":2,"source":"x","procs":4}`},
 		{"missing version", `{"source":"x","procs":4}`},
+		// Phase merging is gone: its old field is now an unknown field.
+		{"removed merge_phases", `{"v":1,"source":"x","procs":4,"merge_phases":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,7 +154,7 @@ func TestBuildOptionsParity(t *testing.T) {
 	if opt.Machine == nil || opt.Machine.Name() != "Cluster-2020" && opt.Machine.Name() != "cluster2020" {
 		// Name formatting is the machine package's; just require the
 		// cluster model, not the default.
-		if opt.Machine.NumTrainingSets() == 0 {
+		if len(opt.Machine.Sets()) == 0 {
 			t.Errorf("machine not resolved: %v", opt.Machine)
 		}
 	}

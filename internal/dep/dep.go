@@ -532,42 +532,3 @@ func varsOf(a, b SubInfo) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Reductions returns the reduction assignments of the phase.
-func (pi *PhaseInfo) Reductions() []*AssignInfo {
-	var out []*AssignInfo
-	for _, a := range pi.Assigns {
-		if a.IsReduction {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// LoopByVar finds the nest-spine loop with the given variable.
-func (pi *PhaseInfo) LoopByVar(v string) *LoopInfo {
-	for _, l := range pi.Nest {
-		if l.Var == v {
-			return l
-		}
-	}
-	return nil
-}
-
-// TotalOps returns the op counts summed over all assignment executions
-// (weighted by iteration counts and guards).
-func (pi *PhaseInfo) TotalOps() (o OpCount, weighted float64) {
-	for _, a := range pi.Assigns {
-		w := a.Iters * a.Guard
-		o.AddSub += int(float64(a.Ops.AddSub) * w)
-		o.Mul += int(float64(a.Ops.Mul) * w)
-		o.Div += int(float64(a.Ops.Div) * w)
-		o.Sqrt += int(float64(a.Ops.Sqrt) * w)
-		o.Intrinsic += int(float64(a.Ops.Intrinsic) * w)
-		o.Pow += int(float64(a.Ops.Pow) * w)
-		o.Loads += int(float64(a.Ops.Loads) * w)
-		o.Stores += int(float64(a.Ops.Stores) * w)
-		weighted += w
-	}
-	return o, weighted
-}

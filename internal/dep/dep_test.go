@@ -169,6 +169,17 @@ end
 	}
 }
 
+// reductions returns the phase's reduction assignments.
+func reductions(pi *PhaseInfo) []*AssignInfo {
+	var out []*AssignInfo
+	for _, a := range pi.Assigns {
+		if a.IsReduction {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestScalarReductionDetected(t *testing.T) {
 	pi := phaseInfo(t, `
 program p
@@ -179,7 +190,7 @@ program p
   end do
 end
 `)
-	reds := pi.Reductions()
+	reds := reductions(pi)
 	if len(reds) != 1 || reds[0].ScalarLHS != "s" {
 		t.Fatalf("reductions = %+v, want s", reds)
 	}
@@ -198,7 +209,7 @@ program p
   end do
 end
 `)
-	if reds := pi.Reductions(); len(reds) != 1 {
+	if reds := reductions(pi); len(reds) != 1 {
 		t.Fatalf("reductions = %+v, want 1", reds)
 	}
 }
@@ -213,7 +224,7 @@ program p
   end do
 end
 `)
-	if reds := pi.Reductions(); len(reds) != 0 {
+	if reds := reductions(pi); len(reds) != 0 {
 		t.Errorf("reductions = %+v, want none", reds)
 	}
 }
@@ -228,7 +239,7 @@ program p
   end do
 end
 `)
-	if reds := pi.Reductions(); len(reds) != 1 {
+	if reds := reductions(pi); len(reds) != 1 {
 		t.Errorf("reductions = %+v, want 1", reds)
 	}
 }
@@ -253,9 +264,6 @@ end
 	}
 	if pi.Nest[1].Var != "i" || pi.Nest[1].Trip != 8 || pi.Nest[1].Level != 1 {
 		t.Errorf("inner = %+v", pi.Nest[1])
-	}
-	if l := pi.LoopByVar("i"); l == nil || l.Level != 1 {
-		t.Errorf("LoopByVar(i) = %+v", l)
 	}
 }
 
@@ -301,9 +309,8 @@ end
 	if ops.Loads != 5 || ops.Stores != 1 {
 		t.Errorf("loads/stores = %d/%d, want 5/1", ops.Loads, ops.Stores)
 	}
-	total, weighted := pi.TotalOps()
-	if total.Mul != 4 || weighted != 4 {
-		t.Errorf("total = %+v weighted %v, want mul 4, weight 4", total, weighted)
+	if w := pi.Assigns[0].Iters * pi.Assigns[0].Guard; w != 4 {
+		t.Errorf("executions = %v, want 4", w)
 	}
 }
 
@@ -508,7 +515,7 @@ program p
   end do
 end
 `)
-	if reds := pi.Reductions(); len(reds) != 1 {
+	if reds := reductions(pi); len(reds) != 1 {
 		t.Errorf("reductions = %+v, want 1", reds)
 	}
 }

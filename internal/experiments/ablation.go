@@ -35,15 +35,12 @@ type AblationRow struct {
 	Interchange float64
 	// Extended enables CYCLIC and multi-dimensional distributions.
 	Extended float64
-	// Merged enables phase merging; MergedPairs counts the ties.
-	Merged      float64
-	MergedPairs int
 }
 
 // Ablations runs every configuration over the four benchmark programs
 // at a representative test case (n from the headline size scaled down
 // for speed, 16 processors).
-func Ablations(n16 bool) ([]AblationRow, error) {
+func Ablations() ([]AblationRow, error) {
 	cases := []struct {
 		name string
 		n    int
@@ -58,53 +55,45 @@ func Ablations(n16 bool) ([]AblationRow, error) {
 	for _, c := range cases {
 		spec, _ := programs.ByName(c.name)
 		src := spec.Source(c.n, c.dt)
-		run := func(mod func(*core.Options)) (float64, *core.Result, error) {
+		run := func(mod func(*core.Options)) (float64, error) {
 			opt := core.Options{Procs: 16}
-			if mod != nil {
-				mod(&opt)
-			}
+			mod(&opt)
 			res, err := core.Analyze(context.Background(), core.Input{Source: src}, opt)
 			if err != nil {
-				return 0, nil, fmt.Errorf("%s: %w", c.name, err)
+				return 0, fmt.Errorf("%s: %w", c.name, err)
 			}
-			return res.TotalCost / 1e3, res, nil
+			return res.TotalCost / 1e3, nil
 		}
 		row := AblationRow{Program: c.name}
 		var err error
-		var res *core.Result
 		// The base is the paper's configuration, so its selection is the
 		// 0-1 solve the DPSelect column is compared against.
-		if row.Base, _, err = run(func(o *core.Options) { o.ForceILP = true }); err != nil {
+		if row.Base, err = run(func(o *core.Options) { o.ForceILP = true }); err != nil {
 			return nil, err
 		}
-		if row.GreedyAlign, _, err = run(func(o *core.Options) { o.Align = align.Options{Greedy: true} }); err != nil {
+		if row.GreedyAlign, err = run(func(o *core.Options) { o.Align = align.Options{Greedy: true} }); err != nil {
 			return nil, err
 		}
-		if row.DPSelect, _, err = run(func(o *core.Options) { o.UseDP = true }); err != nil {
+		if row.DPSelect, err = run(func(o *core.Options) { o.UseDP = true }); err != nil {
 			return nil, err
 		}
-		if row.NoVectorize, _, err = run(func(o *core.Options) { o.Compiler.NoMessageVectorization = true }); err != nil {
+		if row.NoVectorize, err = run(func(o *core.Options) { o.Compiler.NoMessageVectorization = true }); err != nil {
 			return nil, err
 		}
-		if row.NoCoalesce, _, err = run(func(o *core.Options) { o.Compiler.NoMessageCoalescing = true }); err != nil {
+		if row.NoCoalesce, err = run(func(o *core.Options) { o.Compiler.NoMessageCoalescing = true }); err != nil {
 			return nil, err
 		}
-		if row.CGP, _, err = run(func(o *core.Options) { o.Compiler.CoarseGrainPipelining = true }); err != nil {
+		if row.CGP, err = run(func(o *core.Options) { o.Compiler.CoarseGrainPipelining = true }); err != nil {
 			return nil, err
 		}
-		if row.Interchange, _, err = run(func(o *core.Options) { o.Compiler.LoopInterchange = true }); err != nil {
+		if row.Interchange, err = run(func(o *core.Options) { o.Compiler.LoopInterchange = true }); err != nil {
 			return nil, err
 		}
-		if row.Extended, _, err = run(func(o *core.Options) { o.Cyclic = true; o.MultiDim = true }); err != nil {
+		if row.Extended, err = run(func(o *core.Options) { o.Cyclic = true; o.MultiDim = true }); err != nil {
 			return nil, err
 		}
-		if row.Merged, res, err = run(func(o *core.Options) { o.MergePhases = true }); err != nil {
-			return nil, err
-		}
-		row.MergedPairs = res.MergedPairs
 		rows = append(rows, row)
 	}
-	_ = n16
 	return rows, nil
 }
 
@@ -113,12 +102,12 @@ func Ablations(n16 bool) ([]AblationRow, error) {
 func RenderAblations(rows []AblationRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Ablations: estimated whole-program time (ms) per design alternative, 16 processors")
-	fmt.Fprintf(&b, "%-12s %9s %9s %9s %9s %9s %9s %9s %9s %9s %6s\n",
-		"program", "base", "greedy", "dp-sel", "no-vec", "no-coal", "cgp", "interchg", "extended", "merged", "ties")
+	fmt.Fprintf(&b, "%-12s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+		"program", "base", "greedy", "dp-sel", "no-vec", "no-coal", "cgp", "interchg", "extended")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %6d\n",
+		fmt.Fprintf(&b, "%-12s %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f\n",
 			r.Program, r.Base, r.GreedyAlign, r.DPSelect, r.NoVectorize, r.NoCoalesce,
-			r.CGP, r.Interchange, r.Extended, r.Merged, r.MergedPairs)
+			r.CGP, r.Interchange, r.Extended)
 	}
 	b.WriteString(`
 Reading guide: greedy alignment and DP selection should match the 0-1
@@ -126,7 +115,7 @@ optimum on these programs (the paper's point is optimality at acceptable
 cost, not that heuristics always lose); disabling vectorization blows up
 message counts; coarse-grain pipelining and loop interchange — absent
 from the paper's target compiler — rescue the pipelined/sequentialized
-layouts; extended distribution spaces and phase merging never hurt.
+layouts; extended distribution spaces never hurt.
 `)
 	return b.String()
 }

@@ -61,7 +61,7 @@ func TestRenderAblations(t *testing.T) {
 	rows := []AblationRow{{
 		Program: "adi", Base: 100, GreedyAlign: 100, DPSelect: 100,
 		NoVectorize: 250, NoCoalesce: 120, CGP: 90, Interchange: 95,
-		Extended: 100, Merged: 100, MergedPairs: 3,
+		Extended: 100,
 	}}
 	text := RenderAblations(rows)
 	if !strings.Contains(text, "adi") || !strings.Contains(text, "Reading guide") {

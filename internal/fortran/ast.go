@@ -76,8 +76,6 @@ type Directive struct {
 // Stmt is a statement node.
 type Stmt interface {
 	stmtNode()
-	// StmtLine reports the source line of the statement.
-	StmtLine() int
 }
 
 // Do is a DO loop with unit or constant stride.
@@ -109,10 +107,6 @@ type Assign struct {
 func (*Do) stmtNode()     {}
 func (*If) stmtNode()     {}
 func (*Assign) stmtNode() {}
-
-func (s *Do) StmtLine() int     { return s.Line }
-func (s *If) StmtLine() int     { return s.Line }
-func (s *Assign) StmtLine() int { return s.Line }
 
 // Expr is an expression node.
 type Expr interface {

@@ -38,8 +38,7 @@ type CallStmt struct {
 	Line int
 }
 
-func (*CallStmt) stmtNode()       {}
-func (s *CallStmt) StmtLine() int { return s.Line }
+func (*CallStmt) stmtNode() {}
 
 // maxInlineDepth bounds nested inlining (and catches recursion).
 const maxInlineDepth = 16

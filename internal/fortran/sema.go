@@ -358,9 +358,6 @@ func (a Affine) Vars() []string {
 	return vs
 }
 
-// Coeff returns the coefficient of v (0 when absent).
-func (a Affine) Coeff(v string) int { return a.Coeffs[v] }
-
 // IsConst reports whether the form has no variable part.
 func (a Affine) IsConst() bool { return len(a.Vars()) == 0 }
 

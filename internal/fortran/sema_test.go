@@ -111,8 +111,8 @@ end
 			t.Errorf("%s: const = %d, want %d", tc.src, a.Const, tc.wantConst)
 		}
 		for v, c := range tc.wantVars {
-			if a.Coeff(v) != c {
-				t.Errorf("%s: coeff(%s) = %d, want %d", tc.src, v, a.Coeff(v), c)
+			if a.Coeffs[v] != c {
+				t.Errorf("%s: coeff(%s) = %d, want %d", tc.src, v, a.Coeffs[v], c)
 			}
 		}
 		if len(a.Vars()) != len(tc.wantVars) {
@@ -160,7 +160,7 @@ func TestQuickAffineLinearity(t *testing.T) {
 			return false
 		}
 		for _, v := range vars {
-			if as.Coeff(v) != a1.Coeff(v)+a2.Coeff(v) {
+			if as.Coeffs[v] != a1.Coeffs[v]+a2.Coeffs[v] {
 				return false
 			}
 		}

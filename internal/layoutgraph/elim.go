@@ -60,14 +60,14 @@ type factor struct {
 	table []float64
 }
 
-// SolveElim selects optimally by variable elimination.  Tied phases
-// are contracted into one variable, parallel and reverse edges merged
-// into one pair table and self-loops folded into node costs, so every
-// shape is accepted; only width is refused (*OverCapError).  The order
-// is greedy min-degree, degree ties eliminated from the highest phase
-// down, and each step keeps the smallest candidate index among equal
-// minima.  solver supplies Context only (nil means no cancellation);
-// time limits are ignored — the cap bounds the work.
+// SolveElim selects optimally by variable elimination.  Parallel and
+// reverse edges are merged into one pair table and self-loops folded
+// into node costs, so every shape is accepted; only width is refused
+// (*OverCapError).  The order is greedy min-degree, degree ties
+// eliminated from the highest phase down, and each step keeps the
+// smallest candidate index among equal minima.  solver supplies
+// Context only (nil means no cancellation); time limits are ignored —
+// the cap bounds the work.
 func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	g.validate()
 	start := time.Now()
@@ -76,11 +76,8 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 		solver = &ilp.Solver{}
 	}
 
-	rep := g.tieGroups()
-
-	// Node costs, slices of one arena: a group's summed candidate costs,
-	// the diagonals of self-loops and intra-group edges, and the
-	// perturbation of every member's binaries.
+	// Node costs, slices of one arena: the candidate costs, the
+	// diagonals of self-loops, and the perturbation of the binaries.
 	cells, ends := 0, 0
 	for _, costs := range g.NodeCost {
 		cells += len(costs)
@@ -93,11 +90,7 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	node := make([][]float64, n)
 	for p, costs := range g.NodeCost {
 		node[p], floats = floats[:len(costs):len(costs)], floats[len(costs):]
-	}
-	for p, costs := range g.NodeCost {
-		for i, c := range costs {
-			node[rep[p]][i] += c
-		}
+		copy(node[p], costs)
 	}
 
 	// Pair tables and adjacency.  adj[v] and facs[v] start as slices of
@@ -106,15 +99,15 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	adj, facs := make([][]int32, n), make([][]int32, n)
 	room := make([]int32, n)
 	for _, e := range g.Edges {
-		room[rep[e.FromPhase]]++
-		room[rep[e.ToPhase]]++
+		room[e.FromPhase]++
+		room[e.ToPhase]++
 	}
 	for v, r := range room {
 		adj[v], facs[v], ints = ints[:0:r], ints[r:r:2*r], ints[2*r:]
 	}
 	factors := make([]factor, 0, len(g.Edges)+n)
 	for _, e := range g.Edges {
-		from, to := rep[e.FromPhase], rep[e.ToPhase]
+		from, to := int32(e.FromPhase), int32(e.ToPhase)
 		if from == to {
 			for i := range node[from] {
 				node[from][i] += e.Cost[i][i]
@@ -152,7 +145,7 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	for p, costs := range g.NodeCost {
 		for i := range costs {
 			k++
-			node[rep[p]][i] += ilp.PerturbEps * float64(k)
+			node[p][i] += ilp.PerturbEps * float64(k)
 		}
 	}
 
@@ -167,12 +160,10 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 	// one probe per step.
 	args := make([][]int32, n)
 	order := make([]int32, 0, n)
-	done := make([]bool, n) // eliminated, or not a variable (a tied non-representative)
+	done := make([]bool, n) // eliminated
 	withDeg := make([]int, n+1)
-	for p := range done {
-		if done[p] = int(rep[p]) != p; !done[p] {
-			withDeg[len(adj[p])]++
-		}
+	for _, a := range adj {
+		withDeg[len(a)]++
 	}
 	pos := make([]int, n)
 	var strides, base, asg []int
@@ -299,9 +290,6 @@ func (g *Graph) SolveElim(solver *ilp.Solver) (*Selection, error) {
 			cell = cell*len(node[u]) + choice[u]
 		}
 		choice[v] = int(args[v][cell])
-	}
-	for p := range choice {
-		choice[p] = choice[rep[p]]
 	}
 
 	sel := &Selection{

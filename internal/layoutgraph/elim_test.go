@@ -14,8 +14,8 @@ import (
 
 // randomNarrowGraph builds a random layout graph of treewidth at most
 // 3: a path, forest or ring, up to two chords, then the clutter the
-// model step must fold — parallel and reverse duplicates, self-loops
-// and a tied pair.  Half the graphs draw small integer costs (many
+// model step must fold — parallel and reverse duplicates and
+// self-loops.  Half the graphs draw small integer costs (many
 // exactly equal candidates and selections), half draw floats (unique
 // optima).
 func randomNarrowGraph(rng *rand.Rand) *Graph {
@@ -30,16 +30,6 @@ func randomNarrowGraph(rng *rand.Rand) *Graph {
 		for i := range g.NodeCost[p] {
 			g.NodeCost[p][i] = cost(50)
 		}
-	}
-	if phases > 1 && rng.Intn(3) == 0 {
-		// A tied pair needs equal candidate counts.
-		p := rng.Intn(phases - 1)
-		q := p + 1 + rng.Intn(phases-p-1)
-		g.NodeCost[q] = g.NodeCost[q][:0]
-		for range g.NodeCost[p] {
-			g.NodeCost[q] = append(g.NodeCost[q], cost(50))
-		}
-		g.Ties = [][2]int{{p, q}}
 	}
 	link := func(from, to int) {
 		e := &Edge{FromPhase: from, ToPhase: to, Cost: make([][]float64, len(g.NodeCost[from]))}
@@ -85,7 +75,7 @@ func randomNarrowGraph(rng *rand.Rand) *Graph {
 	return g
 }
 
-// perturbedOptima enumerates every tie-respecting selection under the
+// perturbedOptima enumerates every selection under the
 // perturbed objective and returns the best one and the margin by which
 // the runner-up loses (+Inf when there is only one selection).
 func perturbedOptima(g *Graph) (best []int, margin float64) {
@@ -94,11 +84,6 @@ func perturbedOptima(g *Graph) (best []int, margin float64) {
 	var rec func(p, k int, eps float64)
 	rec = func(p, k int, eps float64) {
 		if p == len(choice) {
-			for _, t := range g.Ties {
-				if choice[t[0]] != choice[t[1]] {
-					return
-				}
-			}
 			switch c := g.evaluate(choice) + eps; {
 			case c < bestCost:
 				bestCost, second, best = c, bestCost, append([]int(nil), choice...)
@@ -141,12 +126,6 @@ func TestQuickElimMatchesOracles(t *testing.T) {
 		if !approx(sel.Cost, ex.Cost) || !approx(g.evaluate(sel.Choice), sel.Cost) {
 			t.Logf("seed %d: elim %v, exhaustive %v", seed, sel.Cost, ex.Cost)
 			return false
-		}
-		for _, tie := range g.Ties {
-			if sel.Choice[tie[0]] != sel.Choice[tie[1]] {
-				t.Logf("seed %d: tie %v violated by %v", seed, tie, sel.Choice)
-				return false
-			}
 		}
 		best, margin := perturbedOptima(g)
 		if margin < ilp.PerturbEps/2 {

@@ -13,13 +13,11 @@
 // route core takes is SolveAutoWS: one exact variable-elimination
 // dynamic program (SolveElim) minimizing the ILP's own perturbed
 // objective, with the ILP kept for graphs over the DP's table-size cap.
-// SolveGreedy is the budget-exhausted last resort and SolveExhaustive
-// the test oracle.
+// SolveGreedy is the budget-exhausted last resort.
 package layoutgraph
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/ilp"
@@ -33,13 +31,6 @@ type Graph struct {
 	NodeCost [][]float64
 	// Edges lists the remapping-capable transitions.
 	Edges []*Edge
-	// Ties forces pairs of phases to select the same candidate index —
-	// the phase-merging preprocessing of §2.1 ("two adjacent phases can
-	// be merged into a single phase if remapping can never be
-	// profitable between them", after Sheffler et al.).  Tied phases
-	// must have candidate lists of equal length with corresponding
-	// meaning.
-	Ties [][2]int
 }
 
 // Edge connects the candidates of two phases; Cost[i][j] is the
@@ -70,7 +61,7 @@ type Selection struct {
 	// (the exact tree-decomposition DP, SolveElim), "presolved"
 	// (constraint propagation fixed every binary before branch and
 	// bound), "dense" (ILP on the dense tableau simplex), or "" for
-	// the explicit baselines (SolveGreedy, SolveExhaustive).
+	// the greedy fallback (SolveGreedy).
 	Solver string
 	// Presolved counts binaries fixed by the ILP's constraint
 	// propagation (zero on the tree-dp route).  LPSparse is always 0:
@@ -106,14 +97,6 @@ func (g *Graph) validate() {
 	for p, costs := range g.NodeCost {
 		if len(costs) == 0 {
 			panic(fmt.Sprintf("layoutgraph: phase %d has no candidates", p))
-		}
-	}
-	for _, t := range g.Ties {
-		if t[0] < 0 || t[0] >= len(g.NodeCost) || t[1] < 0 || t[1] >= len(g.NodeCost) {
-			panic("layoutgraph: tie references unknown phase")
-		}
-		if len(g.NodeCost[t[0]]) != len(g.NodeCost[t[1]]) {
-			panic("layoutgraph: tied phases have different candidate counts")
 		}
 	}
 	for _, e := range g.Edges {
@@ -183,15 +166,6 @@ func (g *Graph) SolveILP(solver *ilp.Solver, ws *lp.Workspace) (*Selection, erro
 		}
 		prob.AddConstraint(terms, lp.EQ, 1)
 		constraints++
-	}
-	for _, t := range g.Ties {
-		for i := range nodeVar[t[0]] {
-			prob.AddConstraint([]lp.Term{
-				{Var: nodeVar[t[0]][i], Coeff: 1},
-				{Var: nodeVar[t[1]][i], Coeff: -1},
-			}, lp.EQ, 0)
-			constraints++
-		}
 	}
 	for _, e := range g.Edges {
 		nFrom, nTo := len(g.NodeCost[e.FromPhase]), len(g.NodeCost[e.ToPhase])
@@ -270,62 +244,18 @@ func (g *Graph) SolveILP(solver *ilp.Solver, ws *lp.Workspace) (*Selection, erro
 	return sel, nil
 }
 
-// tieGroups contracts Ties: rep[p] is the smallest phase of p's tie
-// group, the one variable that stands for the whole group.
-func (g *Graph) tieGroups() []int32 {
-	rep := make([]int32, len(g.NodeCost))
-	for p := range rep {
-		rep[p] = int32(p)
-	}
-	find := func(p int32) int32 {
-		for rep[p] != p {
-			rep[p] = rep[rep[p]]
-			p = rep[p]
-		}
-		return p
-	}
-	for _, t := range g.Ties {
-		if a, b := find(int32(t[0])), find(int32(t[1])); a < b {
-			rep[b] = a
-		} else {
-			rep[a] = b
-		}
-	}
-	for p := range rep {
-		rep[p] = find(int32(p))
-	}
-	return rep
-}
-
 // SolveGreedy selects each phase's cheapest candidate independently,
-// ignoring remapping costs (phases tied together pick the common index
-// minimizing their summed node cost).  It is the last-resort fallback
+// ignoring remapping costs.  It is the last-resort fallback
 // when a budget expires before the ILP finds any incumbent and the
 // graph is over the DP's cap: always feasible, never optimal by
 // construction, but the reported Cost (including the ignored edge
 // costs) is exact.
 func (g *Graph) SolveGreedy() *Selection {
 	g.validate()
-	rep := g.tieGroups()
-	sums := make([][]float64, len(g.NodeCost))
-	for p, costs := range g.NodeCost {
-		if sums[rep[p]] == nil {
-			sums[rep[p]] = make([]float64, len(costs))
-		}
-		for i, c := range costs {
-			sums[rep[p]][i] += c
-		}
-	}
-	// rep[p] <= p, so a group's common index is decided before its
-	// other members read it.
 	choice := make([]int, len(g.NodeCost))
-	for p := range choice {
-		if int(rep[p]) != p {
-			choice[p] = choice[rep[p]]
-			continue
-		}
-		for i, c := range sums[p] {
-			if c < sums[p][choice[p]] {
+	for p, costs := range g.NodeCost {
+		for i, c := range costs {
+			if c < costs[choice[p]] {
 				choice[p] = i
 			}
 		}
@@ -337,41 +267,4 @@ func (g *Graph) SolveGreedy() *Selection {
 		DegradeReason: "greedy per-phase selection (remapping costs not optimized)",
 		Gap:           -1,
 	}
-}
-
-// SolveExhaustive enumerates every selection (test oracle); the
-// candidate product must not exceed 1<<20.
-func (g *Graph) SolveExhaustive() (*Selection, error) {
-	g.validate()
-	product := 1
-	for _, costs := range g.NodeCost {
-		product *= len(costs)
-		if product > 1<<20 {
-			return nil, fmt.Errorf("layoutgraph: %d combinations exceed exhaustive limit", product)
-		}
-	}
-	choice := make([]int, len(g.NodeCost))
-	best := math.Inf(1)
-	var bestChoice []int
-	var rec func(p int)
-	rec = func(p int) {
-		if p == len(g.NodeCost) {
-			for _, t := range g.Ties {
-				if choice[t[0]] != choice[t[1]] {
-					return
-				}
-			}
-			if c := g.evaluate(choice); c < best {
-				best = c
-				bestChoice = append([]int(nil), choice...)
-			}
-			return
-		}
-		for i := range g.NodeCost[p] {
-			choice[p] = i
-			rec(p + 1)
-		}
-	}
-	rec(0)
-	return &Selection{Choice: bestChoice, Cost: best}, nil
 }

@@ -416,71 +416,3 @@ func BenchmarkSelectionILPBranching(b *testing.B) {
 		})
 	}
 }
-
-func TestTiesForceEqualChoice(t *testing.T) {
-	// Phase 0 prefers candidate 0, phase 1 prefers candidate 1; a tie
-	// forces a common pick, which must be the cheaper combined one.
-	g := &Graph{
-		NodeCost: [][]float64{{1, 5}, {9, 2}},
-		Ties:     [][2]int{{0, 1}},
-	}
-	sel, err := g.SolveILP(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Choice[0] != sel.Choice[1] {
-		t.Fatalf("tie violated: %v", sel.Choice)
-	}
-	// Common 0: 1+9=10; common 1: 5+2=7 -> candidate 1.
-	if sel.Choice[0] != 1 || !approx(sel.Cost, 7) {
-		t.Errorf("choice = %v cost %v, want [1 1] cost 7", sel.Choice, sel.Cost)
-	}
-}
-
-func TestQuickTiesMatchExhaustive(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		phases := 3 + rng.Intn(3)
-		nc := 2 + rng.Intn(2)
-		g := &Graph{NodeCost: make([][]float64, phases)}
-		for p := range g.NodeCost {
-			g.NodeCost[p] = make([]float64, nc)
-			for i := range g.NodeCost[p] {
-				g.NodeCost[p][i] = float64(rng.Intn(40))
-			}
-		}
-		for p := 0; p+1 < phases; p++ {
-			g.Edges = append(g.Edges, randomEdge(rng, g, p, p+1))
-		}
-		p := rng.Intn(phases - 1)
-		g.Ties = [][2]int{{p, p + 1}}
-		ilpSel, err := g.SolveILP(nil, nil)
-		if err != nil {
-			return false
-		}
-		exSel, err := g.SolveExhaustive()
-		if err != nil {
-			return false
-		}
-		if ilpSel.Choice[p] != ilpSel.Choice[p+1] {
-			return false
-		}
-		return approx(ilpSel.Cost, exSel.Cost)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDPContractsTies: tied phases are one variable of the DP, not a
-// reason to refuse.
-func TestDPContractsTies(t *testing.T) {
-	g := &Graph{NodeCost: [][]float64{{1, 5}, {9, 2}}, Ties: [][2]int{{0, 1}}}
-	sel, err := g.SolveElim(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Choice[0] != 1 || sel.Choice[1] != 1 || !approx(sel.Cost, 7) {
-		t.Errorf("choice = %v cost %v, want [1 1] cost 7", sel.Choice, sel.Cost)
-	}
-}

@@ -229,10 +229,6 @@ func costOK(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// NumTrainingSets returns the table size (the paper's prototype uses
-// over 100).
-func (m *Model) NumTrainingSets() int { return m.numSets }
-
 // Sets returns all training sets (for inspection and tests).
 func (m *Model) Sets() []TrainingSet {
 	var out []TrainingSet

@@ -11,8 +11,8 @@ import (
 func TestTableSizeExceeds100(t *testing.T) {
 	// The paper's prototype uses over 100 training sets.
 	for _, m := range []*Model{IPSC860(), Paragon()} {
-		if m.NumTrainingSets() <= 100 {
-			t.Errorf("%s: %d training sets, want > 100", m.Name(), m.NumTrainingSets())
+		if m.numSets <= 100 {
+			t.Errorf("%s: %d training sets, want > 100", m.Name(), m.numSets)
 		}
 	}
 }
@@ -150,8 +150,8 @@ func TestQuickMsgTimeProperties(t *testing.T) {
 func TestSetsAreSortedAndComplete(t *testing.T) {
 	m := IPSC860()
 	sets := m.Sets()
-	if len(sets) != m.NumTrainingSets() {
-		t.Fatalf("Sets() = %d entries, want %d", len(sets), m.NumTrainingSets())
+	if len(sets) != m.numSets {
+		t.Fatalf("Sets() = %d entries, want %d", len(sets), m.numSets)
 	}
 	// Every (pattern, stride, latency) combination appears for every
 	// grid processor count.
@@ -186,7 +186,7 @@ func TestStringers(t *testing.T) {
 func TestCluster2020Relations(t *testing.T) {
 	c := Cluster2020()
 	i := IPSC860()
-	if c.NumTrainingSets() <= 100 {
+	if c.numSets <= 100 {
 		t.Error("cluster table too small")
 	}
 	// Messages and flops both got faster, but the *ratio* of start-up

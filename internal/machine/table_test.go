@@ -23,8 +23,8 @@ func TestTableRoundTrip(t *testing.T) {
 	if loaded.Name() != orig.Name() {
 		t.Errorf("name = %q, want %q", loaded.Name(), orig.Name())
 	}
-	if loaded.NumTrainingSets() != orig.NumTrainingSets() {
-		t.Errorf("sets = %d, want %d", loaded.NumTrainingSets(), orig.NumTrainingSets())
+	if len(loaded.Sets()) != len(orig.Sets()) {
+		t.Errorf("sets = %d, want %d", len(loaded.Sets()), len(orig.Sets()))
 	}
 	// Identical lookups across a sample of queries.
 	rng := rand.New(rand.NewSource(1))

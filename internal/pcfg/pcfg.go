@@ -76,7 +76,7 @@ type Options struct {
 	// DefaultProb is the guessed taken-probability for IF statements
 	// without a !prob annotation (0 ⇒ 0.5, the prototype's guess).
 	DefaultProb float64
-	// UseProbHints=false ignores !prob annotations and always guesses,
+	// IgnoreProbHints ignores !prob annotations and always guesses,
 	// reproducing the "guessed 50%" curves of Figure 6.
 	IgnoreProbHints bool
 }
@@ -469,9 +469,6 @@ func (g *Graph) ReversePostorder() []int {
 	}
 	return rpo
 }
-
-// Phase returns the phase with the given ID.
-func (g *Graph) Phase(id int) *Phase { return g.Phases[id] }
 
 // Successors returns the outgoing edges of phase id.
 func (g *Graph) Successors(id int) []*Edge {

@@ -423,6 +423,7 @@ func TestErrorMapping(t *testing.T) {
 		kind   string
 	}{
 		{"unknown field", `{"v":1,"source":"x","procs":4,"bogus":1}`, http.StatusBadRequest, "bad_request"},
+		{"removed merge_phases", `{"v":1,"source":"program p\nend\n","procs":4,"merge_phases":true}`, http.StatusBadRequest, "bad_request"},
 		{"wrong version", `{"v":9,"source":"x","procs":4}`, http.StatusBadRequest, "bad_request"},
 		{"malformed json", `{"v":1,`, http.StatusBadRequest, "bad_request"},
 		{"empty source", `{"v":1,"source":"","procs":4}`, http.StatusBadRequest, "bad_request"},

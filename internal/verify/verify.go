@@ -244,9 +244,8 @@ func CheckAlignment(g *cag.Graph, d int, res *cag.Resolution) error {
 }
 
 // CheckSelection certifies a layout selection against its data layout
-// graph: exactly one in-range candidate per phase, tied phases
-// agreeing, and the claimed total cost matching an independent walk of
-// the node costs and remap edges.  Degraded selections must certify
+// graph: exactly one in-range candidate per phase and the claimed total
+// cost matching an independent walk of the node costs and remap edges.  Degraded selections must certify
 // too — their cost claim is exact even when optimality is forfeited.
 func CheckSelection(g *layoutgraph.Graph, sel *layoutgraph.Selection) error {
 	if len(sel.Choice) != len(g.NodeCost) {
@@ -258,13 +257,6 @@ func CheckSelection(g *layoutgraph.Graph, sel *layoutgraph.Selection) error {
 		if i < 0 || i >= len(g.NodeCost[p]) {
 			return &Error{Stage: stage.Selection, Check: "choice-range", Claimed: float64(i),
 				Detail: fmt.Sprintf("phase %d chose candidate %d of %d", p, i, len(g.NodeCost[p]))}
-		}
-	}
-	for _, t := range g.Ties {
-		if sel.Choice[t[0]] != sel.Choice[t[1]] {
-			return &Error{Stage: stage.Selection, Check: "ties",
-				Claimed: float64(sel.Choice[t[0]]), Recomputed: float64(sel.Choice[t[1]]),
-				Detail: fmt.Sprintf("tied phases %d and %d diverge", t[0], t[1])}
 		}
 	}
 	total := 0.0

@@ -238,8 +238,4 @@ func TestCheckSelection(t *testing.T) {
 	g, sel = selectionFixture()
 	sel.Choice[1] = 7
 	wantVerifyError(t, verify.CheckSelection(g, sel), stage.Selection, "choice-range")
-
-	g, sel = selectionFixture()
-	g.Ties = [][2]int{{0, 1}}
-	wantVerifyError(t, verify.CheckSelection(g, sel), stage.Selection, "ties")
 }
