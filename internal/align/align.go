@@ -65,7 +65,9 @@ type Memo interface {
 	PutResolution(key string, res *cag.Resolution)
 }
 
-func (o Options) defaults() Options {
+// Defaults returns the options BuildSearchSpaces runs with: every zero
+// field replaced by its default.
+func (o Options) Defaults() Options {
 	if o.ImportScale == 0 {
 		o.ImportScale = 1000
 	}
@@ -195,7 +197,7 @@ type Spaces struct {
 // Degradations follow the order of the steps above.  A canceled ctx
 // aborts the construction between solves.
 func BuildSearchSpaces(ctx context.Context, u *fortran.Unit, g *pcfg.Graph, infos map[int]*dep.PhaseInfo, opt Options) (*Spaces, error) {
-	opt = opt.defaults()
+	opt = opt.Defaults()
 	d := u.MaxRank()
 	if d == 0 {
 		return nil, fmt.Errorf("align: program has no arrays")

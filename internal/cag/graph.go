@@ -203,85 +203,105 @@ func (g *Graph) ScaleWeights(f float64) {
 	}
 }
 
-// components returns a union-find parent map over nodes following all
-// edges.
-func (g *Graph) components() map[Node]Node {
-	parent := map[Node]Node{}
-	var find func(Node) Node
-	find = func(x Node) Node {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
+// components is a union-find over the nodes of one graph, indexed by
+// array offset plus dimension: the dimensions of an array occupy
+// consecutive slots starting at off[array].
+type components struct {
+	off    map[string]int
+	parent []int
+}
+
+// components joins the endpoints of every edge.
+func (g *Graph) components() *components {
+	c := &components{off: make(map[string]int, len(g.ranks))}
+	n := 0
+	for a, r := range g.ranks {
+		c.off[a] = n
+		n += r
 	}
-	for _, n := range g.Nodes() {
-		find(n)
+	c.parent = make([]int, n)
+	for i := range c.parent {
+		c.parent[i] = i
 	}
 	for _, e := range g.edges {
-		a, b := find(e.From), find(e.To)
+		a, b := c.find(c.off[e.From.Array]+e.From.Dim), c.find(c.off[e.To.Array]+e.To.Dim)
 		if a != b {
-			parent[a] = b
+			c.parent[a] = b
 		}
 	}
-	// Path-compress fully.
-	for _, n := range g.Nodes() {
-		find(n)
+	return c
+}
+
+// find returns the root of slot x, halving the path on the way.
+func (c *components) find(x int) int {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
 	}
-	return parent
+	return x
+}
+
+// conflict reports whether two dimensions of one array share a root.
+func (c *components) conflict(ranks map[string]int) bool {
+	for a, r := range ranks {
+		o := c.off[a]
+		for i := 0; i < r; i++ {
+			ri := c.find(o + i)
+			for j := i + 1; j < r; j++ {
+				if c.find(o+j) == ri {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// partitioning returns one part per component, already canonical:
+// nodes are visited in Node.Less order, so every part comes out sorted
+// and the parts come out ordered by their first node.
+func (c *components) partitioning(g *Graph) Partitioning {
+	part := make([]int, len(c.parent)) // a root's part index plus one
+	parts := [][]Node{}
+	for _, a := range g.Arrays() {
+		o := c.off[a]
+		for d := 0; d < g.ranks[a]; d++ {
+			root := c.find(o + d)
+			if part[root] == 0 {
+				parts = append(parts, nil)
+				part[root] = len(parts)
+			}
+			parts[part[root]-1] = append(parts[part[root]-1], Node{a, d})
+		}
+	}
+	return Partitioning{parts: parts}
 }
 
 // HasConflict reports whether two dimensions of the same array are
 // connected (§2.2.1): every solution must then cut some preference.
 func (g *Graph) HasConflict() bool {
-	parent := g.components()
-	root := func(x Node) Node {
-		for parent[x] != x {
-			x = parent[x]
-		}
-		return x
-	}
-	seen := map[string]map[Node]bool{}
-	for _, n := range g.Nodes() {
-		r := root(n)
-		if seen[n.Array] == nil {
-			seen[n.Array] = map[Node]bool{}
-		}
-		if seen[n.Array][r] {
-			return true
-		}
-		seen[n.Array][r] = true
-	}
-	return false
+	return g.components().conflict(g.ranks)
 }
 
 // Partitioning returns the node partitioning of a conflict-free CAG:
 // each connected component is one partition.  It panics if the CAG has
 // a conflict; resolve first.
 func (g *Graph) Partitioning() Partitioning {
-	if g.HasConflict() {
+	p, ok := g.conflictFree()
+	if !ok {
 		panic("cag: Partitioning on conflicting CAG")
 	}
-	parent := g.components()
-	root := func(x Node) Node {
-		for parent[x] != x {
-			x = parent[x]
-		}
-		return x
+	return p
+}
+
+// conflictFree returns the partitioning and true when the CAG has no
+// conflict, from one union-find.
+func (g *Graph) conflictFree() (Partitioning, bool) {
+	c := g.components()
+	if c.conflict(g.ranks) {
+		return Partitioning{}, false
 	}
-	groups := map[Node][]Node{}
-	for _, n := range g.Nodes() {
-		r := root(n)
-		groups[r] = append(groups[r], n)
-	}
-	parts := make([][]Node, 0, len(groups))
-	for _, p := range groups {
-		parts = append(parts, p)
-	}
-	return NewPartitioning(parts)
+	return c.partitioning(g), true
 }
 
 func (g *Graph) String() string {

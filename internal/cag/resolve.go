@@ -76,8 +76,7 @@ func Resolve(g *Graph, d int, solver *ilp.Solver, ws *lp.Workspace) (*Resolution
 			return nil, fmt.Errorf("cag: array %s has rank %d > template dimensionality %d", a, g.Rank(a), d)
 		}
 	}
-	if !g.HasConflict() {
-		aligned := g.Partitioning()
+	if aligned, ok := g.conflictFree(); ok {
 		if asg, cerr := colorComponents(g, aligned, d); cerr == nil {
 			return &Resolution{Assignment: asg, Aligned: aligned, CutWeight: 0}, nil
 		}

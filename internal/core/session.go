@@ -73,13 +73,18 @@ func (s *Session) effective(opt Options) (Options, error) {
 	if opt.Machine == nil {
 		opt.Machine = s.opt.Machine
 	}
+	// A spelled-out default means what zero means: compare the values
+	// the front half runs with, defaulted where pcfg and align default
+	// them.
+	callPCFG, sessPCFG := opt.PCFG.Defaults(), s.opt.PCFG.Defaults()
+	callAlign, sessAlign := opt.Align.Defaults(), s.opt.Align.Defaults()
 	for _, err := range []error{
 		pinned("DefaultTrip", opt.DefaultTrip, s.opt.DefaultTrip),
-		pinned("PCFG.DefaultTrip", opt.PCFG.DefaultTrip, s.opt.PCFG.DefaultTrip),
-		pinned("PCFG.DefaultProb", opt.PCFG.DefaultProb, s.opt.PCFG.DefaultProb),
+		pinned("PCFG.DefaultTrip", callPCFG.DefaultTrip, sessPCFG.DefaultTrip),
+		pinned("PCFG.DefaultProb", callPCFG.DefaultProb, sessPCFG.DefaultProb),
 		pinned("PCFG.IgnoreProbHints", opt.PCFG.IgnoreProbHints, s.opt.PCFG.IgnoreProbHints),
 		pinned("Align.Greedy", opt.Align.Greedy, s.opt.Align.Greedy),
-		pinned("Align.ImportScale", opt.Align.ImportScale, s.opt.Align.ImportScale),
+		pinned("Align.ImportScale", callAlign.ImportScale, sessAlign.ImportScale),
 	} {
 		if err != nil {
 			return opt, err

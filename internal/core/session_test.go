@@ -189,6 +189,58 @@ func TestSessionRejectsUnusedFrontOptions(t *testing.T) {
 	}
 }
 
+// TestSessionAcceptsSpelledOutDefaults: a call that spells out the
+// default pcfg or align apply to a zero field means what the zero call
+// means, so it answers like the zero call and like a cold run of
+// itself; any other value is still rejected by name.
+func TestSessionAcceptsSpelledOutDefaults(t *testing.T) {
+	ctx := context.Background()
+	src := goldenSources(t)["tomcatv"]
+	sess, err := NewSession(ctx, Input{Source: src}, Options{Procs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := sess.Analyze(ctx, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, opt := range map[string]Options{
+		"PCFG.DefaultTrip":  {PCFG: pcfg.Options{DefaultTrip: 100}},
+		"PCFG.DefaultProb":  {PCFG: pcfg.Options{DefaultProb: 0.5}},
+		"Align.ImportScale": {Align: align.Options{ImportScale: 1000}},
+	} {
+		warm, err := sess.Analyze(ctx, opt)
+		if err != nil {
+			t.Fatalf("%s spelled out: %v", field, err)
+		}
+		if render(warm) != render(zero) {
+			t.Errorf("%s spelled out answers unlike the zero call", field)
+		}
+		opt.Procs = 8
+		cold, err := Analyze(ctx, Input{Source: src}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(cold) != render(warm) {
+			t.Errorf("%s spelled out answers unlike a cold run of the same call", field)
+		}
+	}
+	for field, opt := range map[string]Options{
+		"PCFG.DefaultTrip":  {PCFG: pcfg.Options{DefaultTrip: 50}},
+		"PCFG.DefaultProb":  {PCFG: pcfg.Options{DefaultProb: 0.25}},
+		"Align.ImportScale": {Align: align.Options{ImportScale: 10}},
+	} {
+		wantFieldError(t, field, func() error {
+			_, err := sess.Analyze(ctx, opt)
+			return err
+		})
+		wantFieldError(t, field, func() error {
+			_, err := sess.Update(ctx, src, opt)
+			return err
+		})
+	}
+}
+
 // wantFieldError asserts call fails with a *ValidationError whose
 // message starts with the field's name.
 func wantFieldError(t *testing.T, field string, call func() error) {

@@ -175,108 +175,161 @@ func (a *analyzer) assign(s *fortran.Assign, loops []*LoopInfo, guard float64) {
 	} else {
 		ai.ScalarLHS = s.LHS.Name
 	}
-	for _, r := range fortran.Refs(s.RHS) {
+	rhs := fortran.Refs(s.RHS)
+	for _, r := range rhs {
 		if arr := a.u.Arrays[r.Name]; arr != nil {
 			ai.Reads = append(ai.Reads, a.refInfo(r, arr))
 			a.pi.ReadSet[arr.Name] = true
 		}
 	}
-	ai.IsReduction = a.isReduction(s)
+	ai.IsReduction = isReduction(ai, rhs)
 	ai.Ops = countOps(s)
 	a.pi.Assigns = append(a.pi.Assigns, ai)
 }
 
+// refInfo derives the affine form of every subscript of r, once: the
+// dependence tests and the reduction check both read these forms.
 func (a *analyzer) refInfo(r *fortran.Ref, arr *fortran.Array) *RefInfo {
 	ri := &RefInfo{Ref: r, Array: arr}
-	for _, sub := range r.Subs {
-		si := SubInfo{}
+	if len(r.Subs) > 0 {
+		ri.Subs = make([]SubInfo, len(r.Subs))
+	}
+	for i, sub := range r.Subs {
 		if aff, ok := a.u.AffineOf(sub); ok {
-			si.Affine = aff
-			si.OK = true
-			si.Const = aff.Const
-			if v, c, single := aff.SingleVar(); single {
-				si.Var, si.Coeff, si.Single = v, c, true
-			} else if aff.IsConst() {
-				si.Single = false
-			}
+			si := &ri.Subs[i]
+			si.Affine, si.OK, si.Const = aff, true, aff.Const
+			si.Var, si.Coeff, si.Single = aff.SingleVar()
 		}
-		ri.Subs = append(ri.Subs, si)
 	}
 	return ri
 }
 
 // isReduction recognizes s = s ⊕ expr and a(k) = a(k) ⊕ expr where the
 // target reappears exactly once as a top-level operand of +, -, *, min
-// or max.
-func (a *analyzer) isReduction(s *fortran.Assign) bool {
-	target := s.LHS.String()
-	// The RHS must be an accumulation whose spine contains the target.
-	var spineHasTarget func(e fortran.Expr) bool
-	spineHasTarget = func(e fortran.Expr) bool {
-		switch e := e.(type) {
-		case *fortran.Ref:
-			return e.String() == target
-		case *fortran.Bin:
-			switch e.Op {
-			case fortran.Add, fortran.Sub, fortran.Mul:
-				return spineHasTarget(e.L) || spineHasTarget(e.R)
-			}
-		case *fortran.Call:
-			if e.Fn == "min" || e.Fn == "max" {
-				for _, arg := range e.Args {
-					if spineHasTarget(arg) {
-						return true
-					}
-				}
-			}
-		}
+// or max.  ai carries the subscript forms of the target and of every
+// array read, and rhs is fortran.Refs of the statement's RHS.
+func isReduction(ai *AssignInfo, rhs []*fortran.Ref) bool {
+	s := ai.Stmt
+	if !onSpine(s.RHS, s.LHS) {
 		return false
 	}
-	if !spineHasTarget(s.RHS) {
-		return false
-	}
-	// Count total occurrences of the target on the RHS: exactly one.
+	// The target occurs exactly once on the RHS.
 	n := 0
-	for _, r := range fortran.Refs(s.RHS) {
-		if r.String() == target {
+	for _, r := range rhs {
+		if sameRef(r, s.LHS) {
 			n++
 		}
 	}
 	if n != 1 {
 		return false
 	}
+	if ai.LHS == nil {
+		return true
+	}
 	// For array targets, the subscripts must not use every loop var:
 	// a(i) = a(i)+... inside "do i" is elementwise, not a reduction.
-	if arr := a.u.Arrays[s.LHS.Name]; arr != nil {
-		vars := map[string]bool{}
-		for _, sub := range s.LHS.Subs {
-			if aff, ok := a.u.AffineOf(sub); ok {
-				for _, v := range aff.Vars() {
-					vars[v] = true
-				}
-			}
-		}
-		// Reduction iff some enclosing loop variable is absent from the
-		// LHS subscripts; detected by the caller context, so here use a
-		// weaker check: any RHS read uses a variable missing on the LHS.
-		rhsVars := map[string]bool{}
-		for _, r := range fortran.Refs(s.RHS) {
-			for _, sub := range r.Subs {
-				if aff, ok := a.u.AffineOf(sub); ok {
-					for _, v := range aff.Vars() {
-						rhsVars[v] = true
-					}
-				}
-			}
-		}
-		for v := range rhsVars {
-			if !vars[v] {
+	// Reduction iff some enclosing loop variable is absent from the LHS
+	// subscripts; detected by the caller context, so here use a weaker
+	// check: any RHS read uses a variable missing on the LHS.  Every
+	// subscripted RHS reference is an array read (sema rejects any
+	// other), so the reads' forms are all there is to check.
+	for _, read := range ai.Reads {
+		for _, sub := range read.Subs {
+			if sub.OK && !covered(sub.Affine, ai.LHS.Subs) {
 				return true
 			}
 		}
-		return false
+	}
+	return false
+}
+
+// covered reports whether every variable of aff appears in some
+// affine subscript of the target.
+func covered(aff fortran.Affine, target []SubInfo) bool {
+	for v, c := range aff.Coeffs {
+		if c == 0 {
+			continue
+		}
+		in := false
+		for _, t := range target {
+			in = in || (t.OK && t.Affine.Coeffs[v] != 0)
+		}
+		if !in {
+			return false
+		}
 	}
 	return true
+}
+
+// onSpine reports whether the target is an operand of the RHS's
+// accumulation spine: +, -, * and the min/max intrinsics.
+func onSpine(e fortran.Expr, target *fortran.Ref) bool {
+	switch e := e.(type) {
+	case *fortran.Ref:
+		return sameRef(e, target)
+	case *fortran.Bin:
+		switch e.Op {
+		case fortran.Add, fortran.Sub, fortran.Mul:
+			return onSpine(e.L, target) || onSpine(e.R, target)
+		}
+	case *fortran.Call:
+		if e.Fn == "min" || e.Fn == "max" {
+			for _, arg := range e.Args {
+				if onSpine(arg, target) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// sameRef reports whether two references are the same tree: the same
+// name and structurally equal subscripts.
+func sameRef(x, y *fortran.Ref) bool {
+	if x.Name != y.Name || len(x.Subs) != len(y.Subs) {
+		return false
+	}
+	for i := range x.Subs {
+		if !sameExpr(x.Subs[i], y.Subs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameExpr reports whether two expressions are structurally equal.  A
+// real literal compares by its rendering, so "1.0" and "1.00" differ.
+func sameExpr(x, y fortran.Expr) bool {
+	switch x := x.(type) {
+	case *fortran.Ref:
+		y, ok := y.(*fortran.Ref)
+		return ok && sameRef(x, y)
+	case *fortran.Bin:
+		y, ok := y.(*fortran.Bin)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case *fortran.Un:
+		y, ok := y.(*fortran.Un)
+		return ok && x.Neg == y.Neg && sameExpr(x.X, y.X)
+	case *fortran.Call:
+		y, ok := y.(*fortran.Call)
+		if !ok || x.Fn != y.Fn || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !sameExpr(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case *fortran.IntLit:
+		y, ok := y.(*fortran.IntLit)
+		return ok && x.Val == y.Val
+	case *fortran.RealLit:
+		y, ok := y.(*fortran.RealLit)
+		return ok && x.String() == y.String()
+	}
+	return false
 }
 
 // countOps tallies operations of the full statement.

@@ -1,9 +1,16 @@
 package dep
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/fortran"
+	"repro/internal/pcfg"
+	"repro/internal/programs"
 )
 
 func phaseInfo(t *testing.T, src string) *PhaseInfo {
@@ -518,4 +525,228 @@ end
 	if reds := reductions(pi); len(reds) != 1 {
 		t.Errorf("reductions = %+v, want 1", reds)
 	}
+}
+
+// isReductionBaseline is the reduction test as it stood before the
+// subscript forms were shared: it renders the target and every RHS
+// reference with String and re-derives every subscript's affine form.
+// It is the differential oracle for isReduction.
+func isReductionBaseline(u *fortran.Unit, s *fortran.Assign) bool {
+	target := s.LHS.String()
+	// The RHS must be an accumulation whose spine contains the target.
+	var spineHasTarget func(e fortran.Expr) bool
+	spineHasTarget = func(e fortran.Expr) bool {
+		switch e := e.(type) {
+		case *fortran.Ref:
+			return e.String() == target
+		case *fortran.Bin:
+			switch e.Op {
+			case fortran.Add, fortran.Sub, fortran.Mul:
+				return spineHasTarget(e.L) || spineHasTarget(e.R)
+			}
+		case *fortran.Call:
+			if e.Fn == "min" || e.Fn == "max" {
+				for _, arg := range e.Args {
+					if spineHasTarget(arg) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	if !spineHasTarget(s.RHS) {
+		return false
+	}
+	// Count total occurrences of the target on the RHS: exactly one.
+	n := 0
+	for _, r := range fortran.Refs(s.RHS) {
+		if r.String() == target {
+			n++
+		}
+	}
+	if n != 1 {
+		return false
+	}
+	// For array targets, the subscripts must not use every loop var.
+	if arr := u.Arrays[s.LHS.Name]; arr != nil {
+		vars := map[string]bool{}
+		for _, sub := range s.LHS.Subs {
+			if aff, ok := u.AffineOf(sub); ok {
+				for _, v := range aff.Vars() {
+					vars[v] = true
+				}
+			}
+		}
+		rhsVars := map[string]bool{}
+		for _, r := range fortran.Refs(s.RHS) {
+			for _, sub := range r.Subs {
+				if aff, ok := u.AffineOf(sub); ok {
+					for _, v := range aff.Vars() {
+						rhsVars[v] = true
+					}
+				}
+			}
+		}
+		for v := range rhsVars {
+			if !vars[v] {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// subsBaseline is refInfo's subscript analysis as it stood before: the
+// single variable read off the sorted variable list.
+func subsBaseline(u *fortran.Unit, r *fortran.Ref) []SubInfo {
+	var out []SubInfo
+	for _, sub := range r.Subs {
+		si := SubInfo{}
+		if aff, ok := u.AffineOf(sub); ok {
+			si.Affine = aff
+			si.OK = true
+			si.Const = aff.Const
+			if vs := aff.Vars(); len(vs) == 1 {
+				si.Var, si.Coeff, si.Single = vs[0], aff.Coeffs[vs[0]], true
+			}
+		}
+		out = append(out, si)
+	}
+	return out
+}
+
+// checkAgainstBaseline compares every assignment of pi with the
+// baselines: the reduction flag, the subscript forms of the target and
+// of every read, and the reads themselves (every RHS reference to an
+// array, in order).  It returns the number of assignments checked.
+func checkAgainstBaseline(t *testing.T, where string, u *fortran.Unit, pi *PhaseInfo) int {
+	t.Helper()
+	for _, ai := range pi.Assigns {
+		s := ai.Stmt
+		if got, want := ai.IsReduction, isReductionBaseline(u, s); got != want {
+			t.Errorf("%s: %s = %s: IsReduction %v, baseline %v", where, s.LHS, s.RHS, got, want)
+		}
+		if ai.LHS != nil && !reflect.DeepEqual(ai.LHS.Subs, subsBaseline(u, s.LHS)) {
+			t.Errorf("%s: %s: target subscripts %+v, baseline %+v", where, s.LHS, ai.LHS.Subs, subsBaseline(u, s.LHS))
+		}
+		var reads []*fortran.Ref
+		for _, r := range fortran.Refs(s.RHS) {
+			if u.Arrays[r.Name] != nil {
+				reads = append(reads, r)
+			}
+		}
+		if len(reads) != len(ai.Reads) {
+			t.Errorf("%s: %s = %s: %d reads, baseline %d", where, s.LHS, s.RHS, len(ai.Reads), len(reads))
+			continue
+		}
+		for i, r := range reads {
+			if ai.Reads[i].Ref != r || !reflect.DeepEqual(ai.Reads[i].Subs, subsBaseline(u, r)) {
+				t.Errorf("%s: read %s: subscripts %+v, baseline %+v", where, r, ai.Reads[i].Subs, subsBaseline(u, r))
+			}
+		}
+	}
+	return len(pi.Assigns)
+}
+
+// corpusSources returns the 7 golden programs of the root corpus
+// (golden_test.go), a program of reductions and recurrences, and one
+// program of each scale family.
+func corpusSources(t *testing.T) map[string]string {
+	t.Helper()
+	read := func(path ...string) string {
+		b, err := os.ReadFile(filepath.Join(append([]string{"..", ".."}, path...)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	example := func(dir string) string {
+		m := regexp.MustCompile("(?s)const src = `\n(.*?)`").FindStringSubmatch(read("examples", dir, "main.go"))
+		if m == nil {
+			t.Fatalf("examples/%s/main.go has no `const src` block", dir)
+		}
+		return m[1]
+	}
+	srcs := map[string]string{
+		"adi":        programs.Adi(48, fortran.Double),
+		"erlebacher": programs.Erlebacher(16, fortran.Double),
+		"tomcatv":    programs.Tomcatv(32, fortran.Double),
+		"shallow":    programs.Shallow(32, fortran.Real),
+		"adi128":     read("testdata", "adi128.f"),
+		"quickstart": example("quickstart"),
+		"conflict":   example("conflict"),
+	}
+	// Accumulations and recurrences side by side: a reference to the
+	// target's array with other subscripts is not the target.
+	srcs["reductions"] = `program red
+  parameter (n = 32)
+  real a(n,n), b(n), c(n), s
+  do j = 1, n
+    do i = 2, n
+      s = s + a(i,j)
+      b(j) = b(j) + a(i,j)
+      c(i) = c(i-1) + a(i,j)
+      c(i) = max(c(i), a(i,j))
+      b(i) = b(i) * b(i)
+      b(j) = min(b(j), c(i) - a(j,i))
+      c(i) = c(i) + a(i,1)
+    end do
+  end do
+end
+`
+	for _, fam := range pcfg.ScaleFamilies {
+		src, err := pcfg.ScaleProgram(fam, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[string(fam)] = src
+	}
+	return srcs
+}
+
+// analyzeSource runs the front end core runs and checks every phase
+// against the baselines.
+func analyzeSource(t *testing.T, name, src string) int {
+	t.Helper()
+	prog, err := fortran.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	u, err := fortran.Analyze(prog)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	g, err := pcfg.Build(u, pcfg.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	n := 0
+	for _, ph := range g.Phases {
+		n += checkAgainstBaseline(t, fmt.Sprintf("%s phase %d", name, ph.ID), u, Analyze(u, ph.Stmts(), 100))
+	}
+	return n
+}
+
+// TestCorpusMatchesBaseline compares IsReduction and every SubInfo with
+// the baselines on every assignment of the golden programs, the
+// reductions program, both scale families, and 200 seeded one-phase
+// edits of the goldens.
+func TestCorpusMatchesBaseline(t *testing.T) {
+	srcs := corpusSources(t)
+	assigns := 0
+	for name, src := range srcs {
+		assigns += analyzeSource(t, name, src)
+	}
+	goldens := []string{"adi", "adi128", "conflict", "erlebacher", "quickstart", "shallow", "tomcatv"}
+	for seed := int64(0); seed < 200; seed++ {
+		name := goldens[seed%int64(len(goldens))]
+		edited, _, err := pcfg.MutateProgram(srcs[name], seed, pcfg.Options{})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", name, seed, err)
+		}
+		assigns += analyzeSource(t, fmt.Sprintf("%s edit %d", name, seed), edited)
+	}
+	t.Logf("%d assignments checked", assigns)
 }

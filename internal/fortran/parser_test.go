@@ -307,3 +307,19 @@ func TestDotOperatorVsRealLiteral(t *testing.T) {
 		t.Errorf(".lt. not recognized in %v", toks)
 	}
 }
+
+// TestKindNames: every token kind has a name, an unknown kind prints
+// its number, and naming a kind allocates nothing.
+func TestKindNames(t *testing.T) {
+	for k := EOF; k <= DIRECTIVE; k++ {
+		if s := k.String(); s == "" || strings.HasPrefix(s, "Kind(") {
+			t.Errorf("kind %d has no name: %q", int8(k), s)
+		}
+	}
+	if s := Kind(99).String(); s != "Kind(99)" {
+		t.Errorf("Kind(99).String() = %q", s)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = IDENT.String() }); n != 0 {
+		t.Errorf("IDENT.String() allocates %v times, want 0", n)
+	}
+}

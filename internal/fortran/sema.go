@@ -364,11 +364,17 @@ func (a Affine) IsConst() bool { return len(a.Vars()) == 0 }
 // SingleVar reports the variable and coefficient when the form is
 // c*v + k with exactly one variable.
 func (a Affine) SingleVar() (v string, coeff int, ok bool) {
-	vs := a.Vars()
-	if len(vs) != 1 {
+	n := 0
+	for x, c := range a.Coeffs {
+		if c != 0 {
+			v, coeff = x, c
+			n++
+		}
+	}
+	if n != 1 {
 		return "", 0, false
 	}
-	return vs[0], a.Coeffs[vs[0]], true
+	return v, coeff, true
 }
 
 func (a Affine) String() string {

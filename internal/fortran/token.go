@@ -67,16 +67,17 @@ const (
 	DIRECTIVE // whole-line !hpf$ / !prob / !trip payload
 )
 
+var kindNames = map[Kind]string{
+	EOF: "end of file", NEWLINE: "end of line", IDENT: "identifier",
+	INT: "integer", REAL: "real", LPAREN: "(", RPAREN: ")", COMMA: ",",
+	PLUS: "+", MINUS: "-", STAR: "*", SLASH: "/", POW: "**",
+	ASSIGN: "=", COLON: ":", LT: "<", LE: "<=", GT: ">", GE: ">=",
+	EQ: "==", NE: "/=", AND: ".and.", OR: ".or.", NOT: ".not.",
+	DIRECTIVE: "directive",
+}
+
 func (k Kind) String() string {
-	names := map[Kind]string{
-		EOF: "end of file", NEWLINE: "end of line", IDENT: "identifier",
-		INT: "integer", REAL: "real", LPAREN: "(", RPAREN: ")", COMMA: ",",
-		PLUS: "+", MINUS: "-", STAR: "*", SLASH: "/", POW: "**",
-		ASSIGN: "=", COLON: ":", LT: "<", LE: "<=", GT: ">", GE: ">=",
-		EQ: "==", NE: "/=", AND: ".and.", OR: ".or.", NOT: ".not.",
-		DIRECTIVE: "directive",
-	}
-	if s, ok := names[k]; ok {
+	if s, ok := kindNames[k]; ok {
 		return s
 	}
 	return fmt.Sprintf("Kind(%d)", int8(k))

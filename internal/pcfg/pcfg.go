@@ -81,7 +81,9 @@ type Options struct {
 	IgnoreProbHints bool
 }
 
-func (o Options) defaults() Options {
+// Defaults returns the options Build runs with: every zero field
+// replaced by its default.
+func (o Options) Defaults() Options {
 	if o.DefaultTrip == 0 {
 		o.DefaultTrip = 100
 	}
@@ -93,7 +95,7 @@ func (o Options) defaults() Options {
 
 // Build partitions the program into phases and assembles the PCFG.
 func Build(u *fortran.Unit, opt Options) (*Graph, error) {
-	opt = opt.defaults()
+	opt = opt.Defaults()
 	b := &builder{u: u, opt: opt, g: &Graph{}, edges: map[[2]int]float64{}}
 	exits := b.buildSeq(u.Prog.Body, []dangle{{from: startID, rate: 1}}, 1)
 	for _, d := range exits {
