@@ -197,13 +197,15 @@ func TestGivesUpAfterMaxAttempts(t *testing.T) {
 // TestCallerContextWins: the caller's context cancels the whole retry
 // loop promptly, mid-attempt included.
 func TestCallerContextWins(t *testing.T) {
+	release := make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
+		case <-release:
 		}
 	}))
 	defer hs.Close()
+	defer close(release) // runs first: hs.Close waits for the handler
 
 	c := newTestClient(t, Config{BaseURL: hs.URL})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -123,6 +123,42 @@ end
 	}
 }
 
+// TestHintNeedsExactKeyword: a comment is a !prob or !trip hint only
+// when its first word is exactly the keyword; "! tripcount 4" and
+// "! probably 0.25" are plain comments, also after a statement.
+func TestHintNeedsExactKeyword(t *testing.T) {
+	src := `
+program p
+  real a(100)
+  integer m
+  ! tripcount 4
+  do i = 1, m
+    ! probably 0.25
+    if (a(i) > 0.0) a(i) = 0.0
+  end do
+  !TRIP 7
+  do i = 1, m
+    !Prob 0.5
+    if (a(i) > 0.0) a(i) = 1.0
+  end do
+end
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := prog.Body[0].(*Do), prog.Body[1].(*Do)
+	if first.TripHint != 0 || first.Body[0].(*If).ProbHint != 0 {
+		t.Errorf("look-alike comments set hints: trip %d, prob %v", first.TripHint, first.Body[0].(*If).ProbHint)
+	}
+	if second.TripHint != 7 || second.Body[0].(*If).ProbHint != 0.5 {
+		t.Errorf("exact hints: trip %d, prob %v, want 7 and 0.5", second.TripHint, second.Body[0].(*If).ProbHint)
+	}
+	if _, err := Parse("program p\nx = 1 ! triple-checked\nend\n"); err != nil {
+		t.Errorf("trailing look-alike comment: %v", err)
+	}
+}
+
 func TestHPFDirectives(t *testing.T) {
 	src := `
 program p

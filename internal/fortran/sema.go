@@ -408,78 +408,101 @@ func (a Affine) String() string {
 
 // AffineOf analyzes e as an affine form over scalar integer variables,
 // folding parameters to constants.  ok is false for non-affine
-// expressions (products of variables, calls, real arithmetic).
+// expressions (products of variables, calls, real arithmetic).  The
+// form's coefficients are folded into a single map, and a form with no
+// variable part carries none.
 func (u *Unit) AffineOf(e Expr) (Affine, bool) {
+	f := affineFolder{u: u}
+	c, ok := f.fold(e, 1)
+	if !ok {
+		return Affine{}, false
+	}
+	for v, k := range f.coeffs {
+		if k == 0 {
+			delete(f.coeffs, v)
+		}
+	}
+	if len(f.coeffs) == 0 {
+		f.coeffs = nil
+	}
+	return Affine{Coeffs: f.coeffs, Const: c}, true
+}
+
+// affineFolder accumulates k*e over the sub-expressions of one affine
+// form into one coefficient map, made on the first variable.
+type affineFolder struct {
+	u      *Unit
+	coeffs map[string]int
+}
+
+// fold adds k times the variable part of e to the map and returns k
+// times its constant part.  Integer arithmetic wraps, so the terms may
+// be added in any order and zero coefficients dropped at the end.
+func (f *affineFolder) fold(e Expr, k int) (int, bool) {
 	switch e := e.(type) {
 	case *IntLit:
-		return Affine{Const: e.Val}, true
+		return k * e.Val, true
 	case *Ref:
 		if len(e.Subs) != 0 {
-			return Affine{}, false
+			return 0, false
 		}
-		if v, ok := u.Params[e.Name]; ok {
-			return Affine{Const: v}, true
+		if v, ok := f.u.Params[e.Name]; ok {
+			return k * v, true
 		}
-		return Affine{Coeffs: map[string]int{e.Name: 1}}, true
+		if k != 0 {
+			if f.coeffs == nil {
+				f.coeffs = map[string]int{}
+			}
+			f.coeffs[e.Name] += k
+		}
+		return 0, true
 	case *Un:
 		if !e.Neg {
-			return Affine{}, false
+			return 0, false
 		}
-		a, ok := u.AffineOf(e.X)
-		if !ok {
-			return Affine{}, false
-		}
-		return a.scale(-1), true
+		return f.fold(e.X, -k)
 	case *Bin:
-		l, okL := u.AffineOf(e.L)
-		r, okR := u.AffineOf(e.R)
 		switch e.Op {
-		case Add:
-			if okL && okR {
-				return l.add(r, 1), true
+		case Add, Sub:
+			l, ok := f.fold(e.L, k)
+			if !ok {
+				return 0, false
 			}
-		case Sub:
-			if okL && okR {
-				return l.add(r, -1), true
+			if e.Op == Sub {
+				k = -k
 			}
+			r, ok := f.fold(e.R, k)
+			return l + r, ok
 		case Mul:
-			if okL && okR {
-				if l.IsConst() {
-					return r.scale(l.Const), true
-				}
-				if r.IsConst() {
-					return l.scale(r.Const), true
-				}
+			// One factor must be a constant form, which AffineOf
+			// returns without a map.  Each factor is analysed once,
+			// so a chain of products stays linear in its length.
+			l, ok := f.u.AffineOf(e.L)
+			if !ok {
+				return 0, false
 			}
+			if l.Coeffs == nil {
+				return f.fold(e.R, k*l.Const)
+			}
+			r, ok := f.u.AffineOf(e.R)
+			if !ok || r.Coeffs != nil {
+				return 0, false
+			}
+			k *= r.Const
+			if f.coeffs == nil {
+				f.coeffs = map[string]int{}
+			}
+			for v, c := range l.Coeffs {
+				f.coeffs[v] += k * c
+			}
+			return k * l.Const, true
 		case Div:
-			if okL && okR && r.IsConst() && r.Const != 0 && l.IsConst() && l.Const%r.Const == 0 {
-				return Affine{Const: l.Const / r.Const}, true
+			l, okL := f.u.AffineOf(e.L)
+			r, okR := f.u.AffineOf(e.R)
+			if okL && okR && l.Coeffs == nil && r.Coeffs == nil && r.Const != 0 && l.Const%r.Const == 0 {
+				return k * (l.Const / r.Const), true
 			}
 		}
 	}
-	return Affine{}, false
-}
-
-func (a Affine) scale(k int) Affine {
-	out := Affine{Const: a.Const * k, Coeffs: map[string]int{}}
-	for v, c := range a.Coeffs {
-		if c*k != 0 {
-			out.Coeffs[v] = c * k
-		}
-	}
-	return out
-}
-
-func (a Affine) add(b Affine, sign int) Affine {
-	out := Affine{Const: a.Const + sign*b.Const, Coeffs: map[string]int{}}
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] = c
-	}
-	for v, c := range b.Coeffs {
-		out.Coeffs[v] += sign * c
-		if out.Coeffs[v] == 0 {
-			delete(out.Coeffs, v)
-		}
-	}
-	return out
+	return 0, false
 }

@@ -27,6 +27,9 @@
 //	               heuristic").
 //	!trip n        trip count annotation for the following DO when its
 //	               bounds are not compile-time constants.
+//
+// A hint's keyword must be the comment's whole first word: "! probably"
+// and "! tripcount 4" are ordinary comments.
 package fortran
 
 import (
@@ -100,94 +103,154 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("line %d: %s", e.Line, e.Msg)
 }
 
-// lexer turns source text into tokens.
+// lexer is a stepper over source text: each step consumes source up
+// to the next construct that produces tokens and queues them.  The
+// parser pulls tokens through the queue, so the token stream is never
+// materialised; Lex is a loop over the same stepper.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []Token
+
+	// q is a ring of tokens produced but not yet consumed: the parser
+	// looks at most two tokens ahead, and one step queues at most two
+	// (a directive and its end of line, or the last end of line and
+	// EOF), so four slots always suffice.
+	q    [4]Token
+	head int
+	n    int
+	last Kind  // kind of the last token queued; NEWLINE before the first
+	done bool  // EOF is queued: the source is exhausted or err is set
+	err  error // the first lexical error, after which the stream is EOF
+}
+
+func newLexer(src string) *lexer {
+	return &lexer{src: src, line: 1, last: NEWLINE}
 }
 
 // Lex tokenizes src.  Identifiers and keywords are lower-cased; blank
 // lines collapse; ordinary comments are dropped while structured
 // directives become DIRECTIVE tokens carrying the comment payload.
 func Lex(src string) ([]Token, error) {
-	lx := &lexer{src: src, line: 1}
-	if err := lx.run(); err != nil {
-		return nil, err
-	}
-	return lx.toks, nil
-}
-
-func (lx *lexer) run() error {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		switch {
-		case c == '\n':
-			lx.emitNewline()
-			lx.pos++
-			lx.line++
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.pos++
-		case c == '!':
-			if err := lx.comment(); err != nil {
-				return err
-			}
-		case c == '&':
-			// Continuation: swallow through end of line.
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			if lx.pos < len(lx.src) {
-				lx.pos++
-				lx.line++
-			}
-		case isDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1])):
-			lx.number()
-		case c == '.' && lx.isDotOperator():
-			if err := lx.dotOperator(); err != nil {
-				return err
-			}
-		case isAlpha(c):
-			lx.identifier()
-		default:
-			if err := lx.operator(); err != nil {
-				return err
-			}
+	lx := newLexer(src)
+	var toks []Token
+	for {
+		t := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
 		}
 	}
-	lx.emitNewline()
-	lx.emit(EOF, "")
-	return nil
+}
+
+// peek returns the token i places ahead of the next one (i <= 1).  EOF
+// repeats forever past the end of the stream.
+func (lx *lexer) peek(i int) Token {
+	for lx.n <= i && !lx.done {
+		lx.step()
+	}
+	if i >= lx.n {
+		i = lx.n - 1
+	}
+	return lx.q[(lx.head+i)%len(lx.q)]
+}
+
+// next consumes and returns the next token; EOF is never consumed.
+func (lx *lexer) next() Token {
+	t := lx.peek(0)
+	if t.Kind != EOF {
+		lx.head = (lx.head + 1) % len(lx.q)
+		lx.n--
+	}
+	return t
+}
+
+// step consumes one construct of the source, queueing the tokens it
+// produces (possibly none: blanks, continuations, plain comments).  At
+// the end of the source, or at a lexical error, it queues EOF.
+func (lx *lexer) step() {
+	if lx.pos >= len(lx.src) {
+		lx.emitNewline()
+		lx.emit(EOF, "")
+		lx.done = true
+		return
+	}
+	var err error
+	c := lx.src[lx.pos]
+	switch {
+	case c == '\n':
+		lx.emitNewline()
+		lx.pos++
+		lx.line++
+	case c == ' ' || c == '\t' || c == '\r':
+		lx.pos++
+	case c == '!':
+		lx.comment()
+	case c == '&':
+		// Continuation: swallow through end of line.
+		for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
+			lx.pos++
+		}
+		if lx.pos < len(lx.src) {
+			lx.pos++
+			lx.line++
+		}
+	case isDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1])):
+		lx.number()
+	case c == '.' && lx.isDotOperator():
+		err = lx.dotOperator()
+	case isAlpha(c):
+		lx.identifier()
+	default:
+		err = lx.operator()
+	}
+	if err != nil {
+		lx.err = err
+		lx.emit(EOF, "")
+		lx.done = true
+	}
 }
 
 func (lx *lexer) emit(k Kind, text string) {
-	lx.toks = append(lx.toks, Token{Kind: k, Text: text, Line: lx.line})
+	lx.q[(lx.head+lx.n)%len(lx.q)] = Token{Kind: k, Text: text, Line: lx.line}
+	lx.n++
+	lx.last = k
 }
 
-// emitNewline adds a NEWLINE unless the token stream is empty or
-// already ends with one (blank-line collapsing).
+// emitNewline adds a NEWLINE unless nothing was emitted yet or the
+// last token already is one (blank-line collapsing).
 func (lx *lexer) emitNewline() {
-	if n := len(lx.toks); n == 0 || lx.toks[n-1].Kind == NEWLINE {
-		return
+	if lx.last != NEWLINE {
+		lx.emit(NEWLINE, "")
 	}
-	lx.emit(NEWLINE, "")
 }
 
 // comment consumes "!..." to end of line.  Structured payloads (!hpf$,
-// !prob, !trip) are preserved as DIRECTIVE tokens.
-func (lx *lexer) comment() error {
+// and !prob or !trip as the first word) are preserved as DIRECTIVE
+// tokens.
+func (lx *lexer) comment() {
 	start := lx.pos
 	for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
 		lx.pos++
 	}
 	text := strings.TrimSpace(lx.src[start+1 : lx.pos])
 	lower := strings.ToLower(text)
-	if strings.HasPrefix(lower, "hpf$") || strings.HasPrefix(lower, "prob") || strings.HasPrefix(lower, "trip") {
+	if w := firstWord(lower); strings.HasPrefix(lower, "hpf$") || w == "prob" || w == "trip" {
 		lx.emit(DIRECTIVE, lower)
 		lx.emitNewline()
 	}
-	return nil
+}
+
+// firstWord returns s up to its first white space, splitting where
+// strings.Fields does.
+func firstWord(s string) string {
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i]
+	}
+	return s
 }
 
 func (lx *lexer) number() {
